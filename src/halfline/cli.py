@@ -46,13 +46,22 @@ _REQUIRED = {
 }
 
 
-def _parse_floats(val) -> tuple[float, ...]:
+def _number(key: str, val) -> float:
+    """Convert one option value, refusing anything that is not a number."""
+    if not isinstance(val, bool):
+        try:
+            return float(val)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"--{key} expects a number, got {val!r}")
+
+
+def _parse_floats(key: str, val) -> tuple[float, ...]:
     if isinstance(val, str):
-        parts = [p for p in val.split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
+        val = [p for p in val.split(",") if p.strip()]
     if isinstance(val, (list, tuple)):
-        return tuple(float(v) for v in val)
-    raise ValidationError(f"expected a comma list of numbers, got {val!r}")
+        return tuple(_number(key, v) for v in val)
+    raise ValidationError(f"--{key} expects a comma list of numbers, got {val!r}")
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -87,17 +96,15 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             raise ValidationError(f"missing required option --{key.replace('_', '-')}")
     merged.setdefault("L", REFERENCE_L)
     merged.setdefault("N", REFERENCE_N)
-    merged["L"] = float(merged["L"])
+    for key in ("L", "N", "b", "epsilon", "t"):
+        if merged.get(key) is not None:
+            merged[key] = _number(key, merged[key])
+    if not merged["N"].is_integer():
+        raise ValidationError(f"--N expects an integer, got {merged['N']!r}")
     merged["N"] = int(merged["N"])
-    merged["b"] = float(merged["b"])
-    if "epsilon" in merged and merged.get("epsilon") is not None:
-        merged["epsilon"] = float(merged["epsilon"])
-    if "t" in merged and merged.get("t") is not None:
-        merged["t"] = float(merged["t"])
-    if merged.get("times") is not None:
-        merged["times"] = _parse_floats(merged["times"])
-    if merged.get("eps") is not None:
-        merged["eps"] = _parse_floats(merged["eps"])
+    for key in ("times", "eps"):
+        if merged.get(key) is not None:
+            merged[key] = _parse_floats(key, merged[key])
     return merged
 
 

@@ -3,7 +3,7 @@
 Three routes compute or approximate the viscous group at viscosity
 epsilon with drift b:
 
-* ``kernel_evolve``    direct oscillatory-kernel quadrature (b > 0, t > 0)
+* ``kernel_evolve``    image-charge propagator quadrature by FFT (b > 0, t > 0)
 * ``spectral_evolve``  gauge transform plus odd-extension FFT (any sign of b)
 * ``asymptotic_evolve`` two-wave closed form, exact only in the limit
 
@@ -30,11 +30,6 @@ from .grid import (
     reflect_sample,
     shift_sample,
 )
-
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
 
 # Shortest wavelength carried by the solution is 2 pi epsilon / |b|.
 # Engines demand twice PPW_MIN points on it: the reflected wave rides
@@ -118,54 +113,44 @@ def _require_pinned(phi: WaveFunction, engine: str) -> None:
         )
 
 
-if _njit is not None:
+def _toeplitz_apply(col, v):
+    """Product T v with T[i, j] = col[i - j + n - 1], by circulant embedding.
 
-    @_njit(cache=True, fastmath=False)
-    def _kernel_sum_fast(x, phi, eps, b, t, h):  # pragma: no cover
-        # Both kernel phases are quadratic in y, so along a row the
-        # phase increment between adjacent y-nodes advances by a fixed
-        # ratio.  Each row then needs two running complex rotations
-        # instead of 2 N sin/cos evaluations.  Summation order is the
-        # plain node order, which keeps reruns bit-identical.
-        n = x.shape[0]
-        a = 1.0 / (4.0 * eps * t)
-        psi = np.empty(n, dtype=np.complex128)
-        for j in range(n):
-            th = a * x[j] * x[j]
-            psi[j] = complex(np.cos(th), np.sin(th)) * phi[j]
-        pref = np.exp(-0.25j * np.pi) / np.sqrt(4.0 * np.pi * eps * t) * h
-        out = np.empty(n, dtype=np.complex128)
-        for i in range(n):
-            xp = x[i] + b * t
-            xm = x[i] - b * t
-            z1 = complex(np.cos(-2.0 * a * xp * h), np.sin(-2.0 * a * xp * h))
-            z2 = complex(np.cos(2.0 * a * xm * h), np.sin(2.0 * a * xm * h))
-            w1 = complex(1.0, 0.0)
-            w2 = complex(1.0, 0.0)
-            s1 = complex(0.0, 0.0)
-            s2 = complex(0.0, 0.0)
-            for j in range(n):
-                s1 += psi[j] * w1
-                s2 += psi[j] * w2
-                w1 *= z1
-                w2 *= z2
-            a1 = a * xp * xp - a * xp * h
-            a2 = a * xm * xm + a * xm * h + b * x[i] / eps
-            out[i] = pref * (
-                complex(np.cos(a1), np.sin(a1)) * s1
-                - complex(np.cos(a2), np.sin(a2)) * s2
-            )
-        return out
+    The Toeplitz matrix is the leading n x n block of a 2n circulant
+    whose first column is col[n-1:], a zero, col[:n-1]; a circulant is
+    diagonal in the Fourier basis (Golub & Van Loan, Matrix
+    Computations, section 4.7).
+    """
+    n = v.shape[0]
+    c = np.concatenate((col[n - 1:], [0.0], col[:n - 1]))
+    return np.fft.ifft(np.fft.fft(c) * np.fft.fft(v, 2 * n))[:n]
 
-else:  # pragma: no cover
-    _kernel_sum_fast = None
+
+def _kernel_sum_fft(x, phi, eps, b, t, h):
+    """Midpoint quadrature of the image-charge propagator in O(N log N).
+
+    On uniform nodes the direct phase a (x_i - x_j + b t)^2 depends only
+    on i - j, a Toeplitz matrix, and the image phase
+    a (x_i + x_j - b t)^2 only on i + j, a Hankel matrix, which is the
+    Toeplitz matrix of the reversed data.  Both products are exact up to
+    FFT roundoff, so this is the same sum as ``_kernel_sum_direct``.
+    """
+    n = x.shape[0]
+    a = 1.0 / (4.0 * eps * t)
+    pref = np.exp(-0.25j * np.pi) / math.sqrt(4.0 * math.pi * eps * t) * h
+    # Offsets (i - j) h.  With the data reversed, j -> n - 1 - j, the
+    # image argument (i + j + 1) h - b t becomes (i - j) h + n h - b t.
+    d = np.arange(1 - n, n) * h
+    direct = _toeplitz_apply(np.exp(1j * a * (d + b * t) ** 2), phi)
+    image = _toeplitz_apply(np.exp(1j * a * (d + n * h - b * t) ** 2), phi[::-1])
+    return pref * (direct - np.exp(1j * b / eps * x) * image)
 
 
 def _kernel_sum_direct(x, phi, eps, b, t, h):
     """Same quadrature with the phases evaluated literally, row by row.
 
-    Only used as a fallback and as an independent check of the
-    recurrence factorization above.  Costs two exp(N) per output node.
+    The small-N oracle for ``_kernel_sum_fft``.  Costs two exp(N) per
+    output node.
     """
     n = x.shape[0]
     a = 1.0 / (4.0 * eps * t)
@@ -209,10 +194,7 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             f"kernel chirp wavelength {lam_chirp:.3e} needs h <= "
             f"{lam_chirp / PPW_MIN:.3e}, grid has h = {g.h:.3e}"
         )
-    if _kernel_sum_fast is not None:
-        vals = _kernel_sum_fast(g.x, phi.values, p.epsilon, p.b, p.t, g.h)
-    else:  # pragma: no cover
-        vals = _kernel_sum_direct(g.x, phi.values, p.epsilon, p.b, p.t, g.h)
+    vals = _kernel_sum_fft(g.x, phi.values, p.epsilon, p.b, p.t, g.h)
     return WaveFunction(g, vals)
 
 

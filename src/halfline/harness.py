@@ -262,6 +262,10 @@ def sweep_prop2(cfg: SweepConfig, psi_name: str = "xexp") -> list[ConvergenceRec
     """
     grid, phi = _prepare(cfg)
     psi = get_preset(psi_name, grid)
+    # The absorbed mass depends on t alone, not on the rung.
+    lost = {}
+    if cfg.b > 0:
+        lost = {t: 1.0 - comp_state_evolve(phi, cfg.b, t).alpha for t in cfg.times}
     records = []
     for e in cfg.eps:
         for t in cfg.times:
@@ -279,11 +283,10 @@ def sweep_prop2(cfg: SweepConfig, psi_name: str = "xexp") -> list[ConvergenceRec
                         cfg.preset, cfg.b, t, e, f"weak_gap[{psi_name}]", weak
                     )
                 )
-                lost = 1.0 - comp_state_evolve(phi, cfg.b, t).alpha
                 records.append(
                     ConvergenceRecord(
                         cfg.preset, cfg.b, t, e, "stall_defect",
-                        abs(strong ** 2 - lost),
+                        abs(strong ** 2 - lost[t]),
                     )
                 )
     return records

@@ -85,10 +85,23 @@ def test_evolve_json_output(capsys):
         ("evolve", "--preset", "xexp", "--b", "1", "--t", "0.5"),
         ("evolve", "--preset", "xexp", "--epsilon", "0.3", "--b", "0", "--t", "0.5"),
         ("limit", "--preset", "bump12", "--b", "-1", "--t", "1.0"),
+        ("sweep", "--claim", "thm1", "--preset", "xexp", "--b", "1",
+         "--times", "0.5,x", "--eps", "0.3"),
+        ("evolve", "--config", {"L": "abc", "N": 1024},
+         "--preset", "xexp", "--epsilon", "0.3", "--b", "1", "--t", "0.5"),
+        ("evolve", "--config", {"N": 4096.7},
+         "--preset", "xexp", "--epsilon", "0.3", "--b", "1", "--t", "0.5"),
     ],
 )
-def test_invalid_input_exits_2(capsys, argv):
-    rc, out, err = run_cli(capsys, *argv, *SMALL)
+def test_invalid_input_exits_2(capsys, tmp_path, argv):
+    if "--config" in argv:
+        # The bad value sits in the config file; grid flags would override it.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(argv[2]))
+        argv = (*argv[:2], str(cfg), *argv[3:])
+    else:
+        argv = (*argv, *SMALL)
+    rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert err.startswith("error:")
 

@@ -23,7 +23,7 @@ from halfline import (
     shift_sample,
     spectral_evolve,
 )
-from halfline.evolvers import _kernel_sum_direct, _kernel_sum_fast
+from halfline.evolvers import _kernel_sum_direct, _kernel_sum_fft
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +114,29 @@ def test_spectral_refuses_loose_boundary(small):
         spectral_evolve(gauss, EvolutionParams(0.3, 1.0, 0.5))
 
 
-def test_kernel_recurrence_matches_direct_phases(small):
+def test_kernel_fft_sum_matches_direct_phases(small):
     g, phi = small
     args = (g.x, phi.values, 0.3, 1.0, 0.5, g.h)
-    fast = _kernel_sum_fast(*args)
+    fast = _kernel_sum_fft(*args)
     direct = _kernel_sum_direct(*args)
     np.testing.assert_allclose(fast, direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+@pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("reach", [0.3, 0.7, 1.4])
+def test_kernel_fft_index_maps(n, b, reach):
+    # b t below L/2, between L/2 and L, and beyond L: the image argument
+    # x_i + x_j - b t changes sign at different places in the Hankel
+    # band, and the circulant wraps from both ends.
+    g = make_grid(10.0, n)
+    t = reach * g.L / b
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    args = (g.x, v, 0.2, b, t, g.h)
+    np.testing.assert_allclose(
+        _kernel_sum_fft(*args), _kernel_sum_direct(*args), atol=1e-12
+    )
 
 
 def test_kernel_agrees_with_spectral(small):
