@@ -53,7 +53,6 @@ from .observables import (
     MultiplicationObservable,
     comp_expectation_limit,
     expectation,
-    regularized_expectation,
 )
 from .harness import (
     CLAIMS,

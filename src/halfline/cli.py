@@ -22,7 +22,7 @@ from .evolvers import (
     spectral_evolve,
 )
 from .grid import WaveFunction, boundary_value, make_grid, norm
-from .harness import CLAIMS, SweepConfig, emit_report, run_claim
+from .harness import CLAIMS, SweepConfig, emit_report, require_inside, run_claim
 from .limit_dynamics import (
     comp_state_evolve,
     destruction_time,
@@ -141,6 +141,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     grid = make_grid(opt["L"], opt["N"])
     phi = get_preset(opt["preset"], grid)
     p = EvolutionParams(epsilon=opt["epsilon"], b=opt["b"], t=opt["t"])
+    require_inside(phi, p.b, p.t)
     pairs: list[tuple[str, object]] = [
         ("engine", engine), ("preset", opt["preset"]),
         ("L", opt["L"]), ("N", opt["N"]),
@@ -175,6 +176,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     grid = make_grid(opt["L"], opt["N"])
     phi = get_preset(opt["preset"], grid)
     b, t = opt["b"], opt["t"]
+    require_inside(phi, b, t)
     ks = kraus_apply(phi, b, t)
     st = comp_state_evolve(phi, b, t)
     wp = wold_projectors(grid, b, t)

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+check of the physical parameters (epsilon, b, t)."""
+
+import math
 
 
 class ValidationError(ValueError):
@@ -11,3 +14,19 @@ class ResolutionError(ValidationError):
 
 class ResolutionWarning(UserWarning):
     """Emitted when a computation proceeds on a grid that underresolves it."""
+
+
+def check_params(epsilon: float | None = None, b: float | None = None,
+                 t: float | None = None, *, inflow: bool = False) -> None:
+    """Refuse a viscosity that is not positive, a drift that is zero (or,
+    with ``inflow``, not positive), or a time that is negative.  Omitted
+    parameters are not checked; every value must be finite."""
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
+    if b is not None:
+        if inflow and not (math.isfinite(b) and b > 0):
+            raise ValidationError(f"inflow regime requires b > 0, got {b!r}")
+        if not (math.isfinite(b) and b != 0):
+            raise ValidationError(f"drift b must be finite and nonzero, got {b!r}")
+    if t is not None and not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"time t must be nonnegative, got {t!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, ResolutionWarning, ValidationError
+from .errors import ResolutionError, ResolutionWarning, ValidationError, check_params
 from .grid import (
     Grid,
     WaveFunction,
@@ -59,12 +59,7 @@ class EvolutionParams:
     t: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not (math.isfinite(self.b) and self.b != 0):
-            raise ValidationError(f"drift b must be finite and nonzero, got {self.b!r}")
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValidationError(f"time t must be nonnegative, got {self.t!r}")
+        check_params(self.epsilon, self.b, self.t)
 
 
 @dataclass(frozen=True)
@@ -80,10 +75,7 @@ class ResolutionReport:
 
 def resolution_report(grid: Grid, epsilon: float, b: float) -> ResolutionReport:
     """Report whether the grid resolves the phase e^(i b x / epsilon)."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
-    if not (math.isfinite(b) and b != 0):
-        raise ValidationError(f"drift b must be finite and nonzero, got {b!r}")
+    check_params(epsilon, b)
     lam = 2.0 * math.pi * epsilon / abs(b)
     ppw = lam / grid.h
     return ResolutionReport(
@@ -95,12 +87,13 @@ def resolution_report(grid: Grid, epsilon: float, b: float) -> ResolutionReport:
     )
 
 
-def _require_admissible(grid: Grid, p: EvolutionParams, engine: str) -> None:
-    rep = resolution_report(grid, p.epsilon, p.b)
+def require_resolved(grid: Grid, epsilon: float, b: float, who: str) -> None:
+    """Refuse (epsilon, b) on a grid that underresolves its phase."""
+    rep = resolution_report(grid, epsilon, b)
     if not rep.admissible:
         raise ResolutionError(
-            f"{engine} needs {2 * PPW_MIN:.0f} points per wavelength "
-            f"{rep.wavelength:.3e}, grid provides {rep.points_per_wavelength:.2f}"
+            f"{who} at epsilon={epsilon:g} needs {2 * PPW_MIN:.0f} points per "
+            f"wavelength {rep.wavelength:.3e}, grid provides {rep.points_per_wavelength:.2f}"
         )
 
 
@@ -183,7 +176,7 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
         raise ValidationError("kernel quadrature is singular at t = 0")
     if p.b < 0:
         raise ValidationError("kernel route requires b > 0, use spectral_evolve")
-    _require_admissible(g, p, "kernel_evolve")
+    require_resolved(g, p.epsilon, p.b, "kernel_evolve")
     _require_pinned(phi, "kernel_evolve")
     # The chirp wavelength at the far edge of the integration range is
     # 4 pi eps t / M with M the largest phase-argument magnitude.
@@ -198,9 +191,7 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     return WaveFunction(g, vals)
 
 
-def spectral_evolve(
-    phi: WaveFunction, p: EvolutionParams, *, _gauge: bool = True
-) -> WaveFunction:
+def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     """Evolve by gauge transform and odd-extension FFT.
 
     The drift is removed by the unimodular gauge e^(i b x / 2 eps), the
@@ -208,32 +199,21 @@ def spectral_evolve(
     the gauge is restored together with the accumulated phase
     e^(i b^2 t / 4 eps).  Unitary up to roundoff for any sign of b.
     t = 0 returns the data unchanged.
-
-    ``_gauge=False`` skips the gauge factors and evolves by the free
-    flow alone.  That path exists so tests can compare directly with
-    the sine-mode eigenvalues; it is not part of the public contract.
     """
     g = phi.grid
     if p.t == 0:
         return WaveFunction(g, phi.values)
-    _require_admissible(g, p, "spectral_evolve")
+    require_resolved(g, p.epsilon, p.b, "spectral_evolve")
     _require_pinned(phi, "spectral_evolve")
 
-    if _gauge:
-        v = np.exp(-0.5j * p.b / p.epsilon * g.x) * phi.values
-    else:
-        v = phi.values.copy()
-
+    v = np.exp(-0.5j * p.b / p.epsilon * g.x) * phi.values
     ext = np.empty(2 * g.N, dtype=np.complex128)
     ext[g.N:] = v
     ext[:g.N] = -v[::-1]
     xi = 2.0 * math.pi * np.fft.fftfreq(2 * g.N, d=g.h)
     ext = np.fft.ifft(np.fft.fft(ext) * np.exp(-1j * p.epsilon * p.t * xi * xi))
-    w = ext[g.N:]
-
-    if _gauge:
-        drift = p.b * p.b * p.t / (4.0 * p.epsilon)
-        w = np.exp(1j * (drift + 0.5 * p.b / p.epsilon * g.x)) * w
+    drift = p.b * p.b * p.t / (4.0 * p.epsilon)
+    w = np.exp(1j * (drift + 0.5 * p.b / p.epsilon * g.x)) * ext[g.N:]
     return WaveFunction(g, w)
 
 
@@ -274,8 +254,5 @@ def limit_group_V(phi: WaveFunction, b: float, t: float) -> WaveFunction:
     A contraction for b > 0 (mass crossing the wall is lost), an
     isometry for b < 0 while the support stays inside the grid.
     """
-    if not (math.isfinite(b) and b != 0):
-        raise ValidationError(f"drift b must be finite and nonzero, got {b!r}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError(f"time t must be nonnegative, got {t!r}")
+    check_params(b=b, t=t)
     return shift_sample(phi, b * t)

@@ -21,6 +21,9 @@ from .errors import ValidationError
 # looser gates used by the evolution engines live in evolvers.py.
 BOUNDARY_TOL = 1e-8
 
+# Inputs required to be unit vectors may miss norm 1 by this much.
+UNIT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -64,6 +67,17 @@ def make_grid(L: float, N: int) -> Grid:
     return Grid(L=L, N=N)
 
 
+def _samples(grid: Grid, values) -> np.ndarray:
+    """A private complex copy of values, checked to be N finite samples."""
+    v = np.asarray(values, dtype=np.complex128)
+    if v.shape != (grid.N,):
+        raise ValidationError(f"values shape {v.shape} does not match grid with N={grid.N}")
+    # The two real views are cheaper to test than the complex array.
+    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        raise ValidationError("values must be finite")
+    return v.copy()
+
+
 @dataclass
 class WaveFunction:
     """Complex amplitudes sampled on a grid."""
@@ -72,14 +86,7 @@ class WaveFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.grid.N,):
-            raise ValidationError(
-                f"values shape {v.shape} does not match grid with N={self.grid.N}"
-            )
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValidationError("values must be finite")
-        self.values = v.copy()
+        self.values = _samples(self.grid, self.values)
 
     @classmethod
     def from_callable(cls, grid: Grid, f: Callable[[np.ndarray], np.ndarray]) -> "WaveFunction":
@@ -100,13 +107,7 @@ class BoundedFunction:
     bound: float
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.grid.N,):
-            raise ValidationError(
-                f"values shape {v.shape} does not match grid with N={self.grid.N}"
-            )
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValidationError("values must be finite")
+        v = _samples(self.grid, self.values)
         if not (math.isfinite(self.bound) and self.bound >= 0):
             raise ValidationError(f"bound must be finite and nonnegative, got {self.bound!r}")
         peak = float(np.max(np.abs(v))) if v.size else 0.0
@@ -114,7 +115,7 @@ class BoundedFunction:
             raise ValidationError(
                 f"samples reach {peak:.3e}, above the stated bound {self.bound:.3e}"
             )
-        self.values = v.copy()
+        self.values = v
         self.bound = float(self.bound)
 
     @classmethod
@@ -144,6 +145,21 @@ def inner(u: WaveFunction, v: WaveFunction) -> complex:
 
 def norm(u: WaveFunction) -> float:
     return math.sqrt(max(float(np.real(inner(u, u))), 0.0))
+
+
+def require_unit(u: WaveFunction, who: str) -> None:
+    """Refuse a state whose norm misses 1 by more than UNIT_TOL."""
+    n = norm(u)
+    if abs(n - 1.0) > UNIT_TOL:
+        raise ValidationError(f"{who} needs a unit vector, norm is {n:.8f}")
+
+
+def weighted_mass(f: BoundedFunction, density: np.ndarray) -> float | complex:
+    """Midpoint quadrature h * sum f * density, real when f is real."""
+    val = complex(f.grid.h * np.sum(f.values * density))
+    if np.all(f.values.imag == 0.0):
+        return val.real
+    return val
 
 
 def sample_at(u: WaveFunction, pos: np.ndarray) -> np.ndarray:

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError
+from .errors import ValidationError, check_params
 from .evolvers import (
     EvolutionParams,
     limit_group_V,
     remainder_norm,
-    resolution_report,
+    require_resolved,
     spectral_evolve,
 )
 from .grid import (
@@ -55,8 +55,6 @@ PROBE_RUNGS = 4
 
 CSV_HEADER = "preset,b,t,epsilon,metric,value,ratio"
 
-CLAIMS = ("thm1", "weak", "thm3", "thm5", "prop2", "thm2")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -72,8 +70,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
-        if not (math.isfinite(self.b) and self.b != 0):
-            raise ValidationError(f"drift b must be finite and nonzero, got {self.b!r}")
+        check_params(b=self.b)
         if len(self.times) == 0:
             raise ValidationError("at least one time is required")
         for t in self.times:
@@ -84,8 +81,7 @@ class SweepConfig:
         if len(self.eps) == 0:
             raise ValidationError("the viscosity ladder must be nonempty")
         for e in self.eps:
-            if not (math.isfinite(e) and e > 0):
-                raise ValidationError(f"viscosities must be positive, got {e!r}")
+            check_params(epsilon=e)
         if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
             raise ValidationError(
                 f"the viscosity ladder must be strictly decreasing, got {self.eps}"
@@ -105,27 +101,29 @@ class ConvergenceRecord:
     ratio: float | None = None
 
 
+def require_inside(phi: WaveFunction, b: float, horizon: float) -> None:
+    """Refuse a horizon at which transport at speed |b| carries mass of
+    phi across the far wall, where the truncation to [0, L] shows."""
+    check_params(b=b, t=horizon)
+    reach = phi.grid.L - abs(b) * horizon
+    if reach <= 0:
+        raise ValidationError(
+            f"horizon {horizon:g} sweeps past the far wall at L={phi.grid.L:g}"
+        )
+    tail = norm(indicator_project(phi, reach, phi.grid.L)) ** 2
+    if tail > TAIL_GATE:
+        raise ValidationError(
+            f"preset carries mass {tail:.3e} within reach of the far wall"
+        )
+
+
 def _prepare(cfg: SweepConfig) -> tuple[Grid, WaveFunction]:
     """Build the grid and preset, refusing configurations the grid cannot carry."""
     grid = make_grid(cfg.L, cfg.N)
     phi = get_preset(cfg.preset, grid)
     for e in cfg.eps:
-        rep = resolution_report(grid, e, cfg.b)
-        if not rep.admissible:
-            raise ResolutionError(
-                f"ladder rung epsilon={e:g} is underresolved on this grid "
-                f"({rep.points_per_wavelength:.2f} points per wavelength)"
-            )
-    reach = grid.L - abs(cfg.b) * max(cfg.times)
-    if reach <= 0:
-        raise ValidationError(
-            f"horizon {max(cfg.times):g} sweeps past the far wall at L={grid.L:g}"
-        )
-    tail = norm(indicator_project(phi, reach, grid.L)) ** 2
-    if tail > TAIL_GATE:
-        raise ValidationError(
-            f"preset carries mass {tail:.3e} within reach of the far wall"
-        )
+        require_resolved(grid, e, cfg.b, "ladder rung")
+    require_inside(phi, cfg.b, max(cfg.times))
     return grid, phi
 
 
@@ -314,11 +312,7 @@ def divergence_probe(cfg: SweepConfig, eps0: float | None = None) -> list[Conver
         eps0 = cfg.eps[0]
     ladder = tuple(eps0 * 0.5 ** j for j in range(PROBE_RUNGS))
     for e in ladder:
-        rep = resolution_report(grid, e, cfg.b)
-        if not rep.admissible:
-            raise ResolutionError(
-                f"probe rung epsilon={e:g} is underresolved on this grid"
-            )
+        require_resolved(grid, e, cfg.b, "probe rung")
     lost = 1.0 - comp_state_evolve(phi, cfg.b, t).alpha
     if lost < PROBE_MIN_ABSORBED:
         raise ValidationError(
@@ -383,64 +377,58 @@ class Check:
     bound: float | None = None
 
 
+def _gap_checks(kind: str) -> tuple[Check, ...]:
+    return (Check("decreasing", f"gap[{kind}]"), Check("final_le", f"gap[{kind}]", 0.02))
+
+
+def _prop2_checks(b: float) -> tuple[Check, ...]:
+    if b < 0:
+        return (Check("decreasing", "strong_gap"), Check("final_le", "strong_gap", 0.05))
+    return (
+        Check("decreasing", "weak_gap[xexp]"),
+        Check("final_le", "weak_gap[xexp]", 0.02),
+        Check("final_le", "stall_defect", 0.05),
+    )
+
+
+# claim -> (sweep(cfg, g_name), checks(b, g_name)).  The sweeps are looked
+# up by name when called, so a rebound module attribute is what runs.
+_CLAIMS = {
+    "thm1": (lambda cfg, g: sweep_theorem1(cfg),
+             lambda b, g: (Check("decreasing", "sup_remainder"),
+                           Check("halved", "sup_remainder", 0.5))),
+    "weak": (lambda cfg, g: sweep_weak_decay(cfg, g_name=g),
+             lambda b, g: (Check("decreasing", f"weak[{g}]"),)),
+    "thm3": (lambda cfg, g: sweep_expectations(cfg, kinds=("projector",)),
+             lambda b, g: _gap_checks("projector")),
+    "thm5": (lambda cfg, g: sweep_expectations(cfg, kinds=("indicator", "sigmoid")),
+             lambda b, g: _gap_checks("indicator") + _gap_checks("sigmoid")),
+    "prop2": (lambda cfg, g: sweep_prop2(cfg), lambda b, g: _prop2_checks(b)),
+    "thm2": (lambda cfg, g: divergence_probe(cfg),
+             lambda b, g: (Check("probe_contrast", "probe_expectation", 0.5),
+                           Check("within", "probe_gap_sq", 0.05))),
+}
+
+CLAIMS = tuple(_CLAIMS)
+
+
+def _claim(claim: str):
+    if claim not in _CLAIMS:
+        raise ValidationError(f"unknown claim {claim!r}, expected one of {CLAIMS}")
+    return _CLAIMS[claim]
+
+
 def claim_checks(claim: str, b: float = 1.0) -> tuple[Check, ...]:
     """Default verdict rules for each claim keyword."""
-    if claim == "thm1":
-        return (
-            Check("decreasing", "sup_remainder"),
-            Check("halved", "sup_remainder", 0.5),
-        )
-    if claim == "weak":
-        return (Check("decreasing", "weak[bump12]"),)
-    if claim == "thm5":
-        return (
-            Check("decreasing", "gap[indicator]"),
-            Check("final_le", "gap[indicator]", 0.02),
-            Check("decreasing", "gap[sigmoid]"),
-            Check("final_le", "gap[sigmoid]", 0.02),
-        )
-    if claim == "thm3":
-        return (
-            Check("decreasing", "gap[projector]"),
-            Check("final_le", "gap[projector]", 0.02),
-        )
-    if claim == "prop2":
-        if b < 0:
-            return (
-                Check("decreasing", "strong_gap"),
-                Check("final_le", "strong_gap", 0.05),
-            )
-        return (
-            Check("decreasing", "weak_gap[xexp]"),
-            Check("final_le", "weak_gap[xexp]", 0.02),
-            Check("final_le", "stall_defect", 0.05),
-        )
-    if claim == "thm2":
-        return (
-            Check("probe_contrast", "probe_expectation", 0.5),
-            Check("within", "probe_gap_sq", 0.05),
-        )
-    raise ValidationError(f"unknown claim {claim!r}, expected one of {CLAIMS}")
+    return _claim(claim)[1](b, "bump12")
 
 
 def run_claim(claim: str, cfg: SweepConfig, g_name: str = "bump12") -> tuple[
     list[ConvergenceRecord], tuple[Check, ...]
 ]:
     """Run the sweep behind a claim keyword with its default checks."""
-    if claim == "thm1":
-        return sweep_theorem1(cfg), claim_checks(claim)
-    if claim == "weak":
-        recs = sweep_weak_decay(cfg, g_name=g_name)
-        return recs, (Check("decreasing", f"weak[{g_name}]"),)
-    if claim == "thm5":
-        return sweep_expectations(cfg, kinds=("indicator", "sigmoid")), claim_checks(claim)
-    if claim == "thm3":
-        return sweep_expectations(cfg, kinds=("projector",)), claim_checks(claim)
-    if claim == "prop2":
-        return sweep_prop2(cfg), claim_checks(claim, b=cfg.b)
-    if claim == "thm2":
-        return divergence_probe(cfg), claim_checks(claim)
-    raise ValidationError(f"unknown claim {claim!r}, expected one of {CLAIMS}")
+    sweep, checks = _claim(claim)
+    return sweep(cfg, g_name), checks(cfg.b, g_name)
 
 
 def _groups(records: list[ConvergenceRecord], metric: str) -> dict[tuple, list[ConvergenceRecord]]:

@@ -15,20 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_params
 from .grid import (
     BoundedFunction,
     Grid,
     WaveFunction,
     indicator_project,
-    inner,
     norm,
     reflect_sample,
+    require_unit,
     shift_sample,
+    weighted_mass,
 )
-
-# Inputs to the branch map must be unit vectors to this tolerance.
-INPUT_NORM_TOL = 1e-6
 
 # Below this surviving mass the transported branch has no direction
 # left to normalize and the state is treated as wholly singular.
@@ -38,22 +36,15 @@ ALPHA_FLOOR = 1e-12
 MASS_FLOOR = 1e-12
 
 
-def _check_regime(b: float, t: float) -> None:
-    if not (math.isfinite(b) and b > 0):
-        raise ValidationError(f"inflow regime requires b > 0, got {b!r}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError(f"time t must be nonnegative, got {t!r}")
-
-
 def shift_V(phi: WaveFunction, b: float, t: float) -> WaveFunction:
     """Transport branch: (V(t) u)(x) = u(x + b t), a contraction."""
-    _check_regime(b, t)
+    check_params(b=b, t=t, inflow=True)
     return shift_sample(phi, b * t)
 
 
 def reflect_W(phi: WaveFunction, b: float, t: float) -> WaveFunction:
     """Reflected branch: (W(t) u)(x) = u(b t - x), supported on [0, b t]."""
-    _check_regime(b, t)
+    check_params(b=b, t=t, inflow=True)
     return indicator_project(reflect_sample(phi, b * t), 0.0, b * t)
 
 
@@ -76,10 +67,8 @@ def kraus_apply(phi: WaveFunction, b: float, t: float) -> KrausBranchState:
     Requires unit input, since the mass bookkeeping is meaningless
     otherwise.
     """
-    _check_regime(b, t)
-    n = norm(phi)
-    if abs(n - 1.0) > INPUT_NORM_TOL:
-        raise ValidationError(f"kraus_apply needs a unit vector, norm is {n:.8f}")
+    check_params(b=b, t=t, inflow=True)
+    require_unit(phi, "kraus_apply")
     v = shift_V(phi, b, t)
     w = reflect_W(phi, b, t)
     pv = norm(v) ** 2
@@ -102,16 +91,12 @@ def mult_expectation_limit(
     the reflected wave cancels against its conjugate, so the limit
     sees plain densities and no interference term.
     """
-    _check_regime(b, t)
+    check_params(b=b, t=t, inflow=True)
     if phi.grid != f.grid:
         raise ValidationError("observable and state live on different grids")
     v = shift_V(phi, b, t).values
     w = reflect_W(phi, b, t).values
-    density = v.real ** 2 + v.imag ** 2 + w.real ** 2 + w.imag ** 2
-    val = complex(phi.grid.h * np.sum(f.values * density))
-    if np.all(f.values.imag == 0.0):
-        return val.real
-    return val
+    return weighted_mass(f, v.real ** 2 + v.imag ** 2 + w.real ** 2 + w.imag ** 2)
 
 
 @dataclass(frozen=True)
@@ -133,10 +118,8 @@ class CompAlgebraState:
 
 def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
     """Evolve a unit vector to its limiting state on compact observables."""
-    _check_regime(b, t)
-    n = norm(phi)
-    if abs(n - 1.0) > INPUT_NORM_TOL:
-        raise ValidationError(f"comp_state_evolve needs a unit vector, norm is {n:.8f}")
+    check_params(b=b, t=t, inflow=True)
+    require_unit(phi, "comp_state_evolve")
     v = shift_V(phi, b, t)
     alpha = min(max(norm(v) ** 2, 0.0), 1.0)
     if alpha <= ALPHA_FLOOR:
@@ -158,8 +141,7 @@ def destruction_time(phi: WaveFunction, b: float) -> float:
     Numerically: the first node where the cumulative mass of phi
     exceeds MASS_FLOOR, divided by b.
     """
-    if not (math.isfinite(b) and b > 0):
-        raise ValidationError(f"inflow regime requires b > 0, got {b!r}")
+    check_params(b=b, inflow=True)
     dens = phi.values.real ** 2 + phi.values.imag ** 2
     cum = phi.grid.h * np.cumsum(dens)
     idx = np.nonzero(cum > MASS_FLOOR)[0]
@@ -191,7 +173,7 @@ class WoldProjectors:
 
 
 def wold_projectors(grid: Grid, b: float, t: float) -> WoldProjectors:
-    _check_regime(b, t)
+    check_params(b=b, t=t, inflow=True)
     return WoldProjectors(grid=grid, b=b, t=t, cut=b * t)
 
 
@@ -206,9 +188,8 @@ def comp_semigroup_check(phi: WaveFunction, b: float, t: float, tau: float) -> f
     composition law holds only at the level of states, which is what
     this measures.
     """
-    _check_regime(b, t)
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValidationError(f"time tau must be nonnegative, got {tau!r}")
+    check_params(b=b, t=t, inflow=True)
+    check_params(t=tau)
     if t == 0.0 or tau == 0.0:
         return 0.0
     direct = comp_state_evolve(phi, b, t + tau).alpha

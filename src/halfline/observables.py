@@ -13,12 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import BoundedFunction, WaveFunction, inner, norm
-from .evolvers import EvolutionParams, spectral_evolve
+from .grid import BoundedFunction, WaveFunction, inner, require_unit, weighted_mass
 from .limit_dynamics import ALPHA_FLOOR, comp_state_evolve, mult_expectation_limit
-
-# Rank-one directions must be unit vectors to this tolerance.
-UNIT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,9 +46,7 @@ class FiniteRankObservable:
         for d in self.directions:
             if d.grid != g:
                 raise ValidationError("directions live on different grids")
-            n = norm(d)
-            if abs(n - 1.0) > UNIT_TOL:
-                raise ValidationError(f"directions must be unit vectors, norm is {n:.8f}")
+            require_unit(d, "each direction")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
 
@@ -65,24 +59,13 @@ def expectation(u: WaveFunction, obs: Observable) -> float | complex:
         f = obs.f
         if u.grid != f.grid:
             raise ValidationError("observable and state live on different grids")
-        dens = u.values.real ** 2 + u.values.imag ** 2
-        val = complex(u.grid.h * np.sum(f.values * dens))
-        if np.all(f.values.imag == 0.0):
-            return val.real
-        return val
+        return weighted_mass(f, u.values.real ** 2 + u.values.imag ** 2)
     if isinstance(obs, FiniteRankObservable):
         total = 0.0
         for c, d in zip(obs.coeffs, obs.directions):
             total += c * abs(inner(d, u)) ** 2
         return total
     raise ValidationError(f"unsupported observable type {type(obs).__name__}")
-
-
-def regularized_expectation(
-    phi: WaveFunction, obs: Observable, p: EvolutionParams
-) -> float | complex:
-    """Expectation along the viscous flow at viscosity epsilon."""
-    return expectation(spectral_evolve(phi, p), obs)
 
 
 def comp_expectation_limit(
@@ -111,8 +94,6 @@ __all__ = [
     "FiniteRankObservable",
     "Observable",
     "expectation",
-    "regularized_expectation",
     "comp_expectation_limit",
     "mult_expectation_limit",
-    "UNIT_TOL",
 ]

@@ -91,6 +91,10 @@ def test_evolve_json_output(capsys):
          "--preset", "xexp", "--epsilon", "0.3", "--b", "1", "--t", "0.5"),
         ("evolve", "--config", {"N": 4096.7},
          "--preset", "xexp", "--epsilon", "0.3", "--b", "1", "--t", "0.5"),
+        # transport that reaches the far wall, or carries mass across it
+        ("evolve", "--preset", "xexp", "--epsilon", "0.3", "--b", "-1", "--t", "12"),
+        ("evolve", "--preset", "xexp", "--epsilon", "0.3", "--b", "-1", "--t", "9.5"),
+        ("limit", "--preset", "xexp", "--b", "1", "--t", "9.5"),
     ],
 )
 def test_invalid_input_exits_2(capsys, tmp_path, argv):

@@ -84,16 +84,18 @@ def test_spectral_negative_drift_unitary(small):
     assert abs(norm(u) - 1.0) <= UNITARITY_RTOL
 
 
-def test_spectral_eigenmode_without_gauge():
-    # With the gauge factors off, the flow must be diagonal over sine
-    # modes with eigenvalue eps (k pi / L)^2.
+@pytest.mark.parametrize("b", [1.0, -1.0, 2.5])
+def test_spectral_gauged_eigenmode(b):
+    # A sine mode carried by the gauge e^(i b x / 2 eps) only picks up
+    # the phase of its free eigenvalue eps (k pi / L)^2 and the drift
+    # phase b^2 t / 4 eps.
     g = make_grid(10.0, 2 ** 10)
-    mode = get_preset("sine-mode-3", g)
     eps, t = 0.4, 0.9
-    out = spectral_evolve(mode, EvolutionParams(eps, 1.0, t), _gauge=False)
-    lam = eps * (3.0 * math.pi / g.L) ** 2 * t
-    exact = np.exp(-1j * lam) * mode.values
-    np.testing.assert_allclose(out.values, exact, atol=1e-12)
+    mode = get_preset("sine-mode-3", g)
+    phi = WaveFunction(g, np.exp(0.5j * b / eps * g.x) * mode.values)
+    out = spectral_evolve(phi, EvolutionParams(eps, b, t))
+    phase = b * b * t / (4.0 * eps) - eps * (3.0 * math.pi / g.L) ** 2 * t
+    np.testing.assert_allclose(out.values, np.exp(1j * phase) * phi.values, atol=1e-12)
 
 
 def test_spectral_group_law(small):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from halfline import (
+    CLAIMS,
     Check,
     ConvergenceRecord,
     ResolutionError,
@@ -206,6 +207,27 @@ def test_run_claim_dispatch():
     assert checksw[0].metric == "weak[bump23]"
     with pytest.raises(ValidationError):
         run_claim("thm9", cfg)
+
+
+def test_run_claim_reaches_sweeps_by_module_attribute(monkeypatch):
+    # Tracing and patching rebind these module attributes; the claim
+    # table must look them up at call time, not hold the originals.
+    import halfline.harness as harness
+
+    reached = []
+    names = ("sweep_theorem1", "sweep_weak_decay", "sweep_expectations",
+             "sweep_prop2", "divergence_probe")
+    for name in names:
+        monkeypatch.setattr(
+            harness, name, lambda *a, name=name, **k: reached.append(name) or []
+        )
+    cfg = SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=1.0,
+                      times=(1.5,), eps=(0.3, 0.15))
+    for claim in CLAIMS:
+        recs, _ = run_claim(claim, cfg)
+        assert recs == []
+    assert reached == ["sweep_theorem1", "sweep_weak_decay", "sweep_expectations",
+                       "sweep_expectations", "sweep_prop2", "divergence_probe"]
 
 
 def test_emit_report_golden_csv(tmp_path):

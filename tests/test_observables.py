@@ -3,7 +3,6 @@ import pytest
 
 from halfline import (
     BoundedFunction,
-    EvolutionParams,
     FiniteRankObservable,
     MultiplicationObservable,
     ValidationError,
@@ -16,8 +15,6 @@ from halfline import (
     inner,
     make_grid,
     norm,
-    regularized_expectation,
-    spectral_evolve,
 )
 
 
@@ -73,17 +70,6 @@ def test_expectation_rejects_grid_mismatch(setup):
     f = BoundedFunction(other, np.ones(other.N), 1.0)
     with pytest.raises(ValidationError):
         expectation(xe, MultiplicationObservable(f))
-
-
-def test_regularized_expectation_consistent(setup):
-    g, xe = setup
-    p = EvolutionParams(0.3, 1.0, 0.7)
-    obs = MultiplicationObservable(
-        BoundedFunction(g, np.where((g.x >= 1.0) & (g.x <= 2.0), 1.0, 0.0), 1.0)
-    )
-    via_helper = regularized_expectation(xe, obs, p)
-    via_hand = expectation(spectral_evolve(xe, p), obs)
-    assert via_helper == via_hand
 
 
 def test_comp_limit_picks_out_alpha(setup):
