@@ -2,6 +2,7 @@
 check of the physical parameters (epsilon, b, t)."""
 
 import math
+from numbers import Real
 
 
 class ValidationError(ValueError):
@@ -20,7 +21,11 @@ def check_params(epsilon: float | None = None, b: float | None = None,
                  t: float | None = None, *, inflow: bool = False) -> None:
     """Refuse a viscosity that is not positive, a drift that is zero (or,
     with ``inflow``, not positive), or a time that is negative.  Omitted
-    parameters are not checked; every value must be finite."""
+    parameters are not checked; every value must be a finite real
+    number (not a bool)."""
+    for name, v in (("epsilon", epsilon), ("drift b", b), ("time t", t)):
+        if v is not None and (isinstance(v, bool) or not isinstance(v, Real)):
+            raise ValidationError(f"{name} must be a real number, got {v!r}")
     if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
     if b is not None:

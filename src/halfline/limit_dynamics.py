@@ -174,6 +174,8 @@ class WoldProjectors:
 
 def wold_projectors(grid: Grid, b: float, t: float) -> WoldProjectors:
     check_params(b=b, t=t, inflow=True)
+    if b * t >= grid.L:
+        raise ValidationError(f"cut b t = {b * t:g} reaches the far wall at L={grid.L:g}")
     return WoldProjectors(grid=grid, b=b, t=t, cut=b * t)
 
 

@@ -48,6 +48,14 @@ def test_params_validation(eps, b, t):
         EvolutionParams(epsilon=eps, b=b, t=t)
 
 
+@pytest.mark.parametrize("bad", ["0.1", 0.1 + 0j, True])
+@pytest.mark.parametrize("field", ["epsilon", "b", "t"])
+def test_params_refuse_non_real(field, bad):
+    args = {"epsilon": 0.1, "b": 1.0, "t": 1.0, field: bad}
+    with pytest.raises(ValidationError, match="real number"):
+        EvolutionParams(**args)
+
+
 def test_resolution_report_admissibility():
     g = make_grid(40.0, 2 ** 16)
     rep = resolution_report(g, 0.05, 1.0)

@@ -39,8 +39,9 @@ def test_sweep_config_validation():
         SweepConfig(**{**ok, "eps": (0.15, 0.3)})
     with pytest.raises(ValidationError):
         SweepConfig(**{**ok, "eps": (0.3, 0.3)})
-    with pytest.raises(ValidationError):
-        SweepConfig(**{**ok, "b": 0.0})
+    for bad_b in (0.0, "1", True):
+        with pytest.raises(ValidationError):
+            SweepConfig(**{**ok, "b": bad_b})
 
 
 def test_sweep_refuses_underresolved_rung():
@@ -151,6 +152,22 @@ def test_divergence_probe_alternates():
     assert verdict["all_pass"]
 
 
+def test_sweeps_transport_once_per_time(monkeypatch):
+    import halfline.harness as harness
+
+    calls = []
+    real = harness.limit_group_V
+    monkeypatch.setattr(
+        harness, "limit_group_V", lambda phi, b, t: calls.append(t) or real(phi, b, t)
+    )
+    times = (0.5, 1.0)
+    for sweep, b in ((sweep_weak_decay, 1.0), (sweep_prop2, 1.0), (sweep_prop2, -1.0)):
+        calls.clear()
+        sweep(SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=b,
+                          times=times, eps=(0.3, 0.15)))
+        assert calls == list(times)
+
+
 def test_divergence_probe_refusals():
     with pytest.raises(ValidationError):
         divergence_probe(SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=-1.0,
@@ -185,6 +202,44 @@ def test_evaluate_checks_kinds():
     assert not v4["all_pass"]
     with pytest.raises(ValidationError):
         evaluate_checks(recs, (Check("sideways", "m"),))
+
+
+def test_evaluate_checks_probe_rules_failing():
+    recs = [
+        ConvergenceRecord("p", 1.0, 1.5, 0.2, "probe_gap_sq", 0.25),
+        ConvergenceRecord("p", 1.0, 1.5, 0.2, "probe_expectation", 0.0625),
+        ConvergenceRecord("p", 1.0, 1.5, 0.1, "probe_gap_sq", 0.5),
+        ConvergenceRecord("p", 1.0, 1.5, 0.1, "probe_expectation", 0.0),
+        ConvergenceRecord("p", 1.0, 1.5, 0.2, "probe_one_minus_alpha", 0.25),
+        ConvergenceRecord("p", 1.0, 1.5, 0.2, "probe_peak_to_peak", 0.0625),
+    ]
+    v = evaluate_checks(recs, claim_checks("thm2"))
+    assert v == {
+        "n_records": 6,
+        "all_pass": False,
+        "checks": [
+            {
+                "name": "probe_contrast:probe_expectation",
+                "kind": "probe_contrast",
+                "metric": "probe_expectation",
+                "bound": 0.5,
+                "pass": False,
+                "detail": [{"peak_to_peak": 0.0625, "target": 0.125, "pass": False}],
+            },
+            {
+                "name": "within:probe_gap_sq",
+                "kind": "within",
+                "metric": "probe_gap_sq",
+                "bound": 0.05,
+                "pass": False,
+                "detail": [
+                    {"epsilon": 0.2, "value": 0.25, "pass": True},
+                    {"epsilon": 0.1, "value": 0.5, "pass": False},
+                ],
+            },
+        ],
+    }
+    json.dumps(v)
 
 
 def test_claim_checks_table():
@@ -252,14 +307,15 @@ def test_emit_report_golden_csv(tmp_path):
     assert parsed["n_records"] == 2
 
 
-def test_emit_report_deterministic(tmp_path):
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_emit_report_deterministic(tmp_path, claim):
     cfg = SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=1.0,
                       times=(0.5,), eps=(0.3, 0.15))
     out = []
     for tag in ("a", "b"):
-        recs = sweep_theorem1(cfg)
+        recs, checks = run_claim(claim, cfg)
         csv = tmp_path / f"{tag}.csv"
         js = tmp_path / f"{tag}.json"
-        emit_report(recs, csv, js, claim_checks("thm1"))
+        emit_report(recs, csv, js, checks)
         out.append((csv.read_bytes(), js.read_bytes()))
     assert out[0] == out[1]

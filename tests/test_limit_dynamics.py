@@ -180,6 +180,13 @@ def test_wold_projectors_split(medium):
     assert norm(up) ** 2 + norm(low) ** 2 == pytest.approx(norm(xe) ** 2, rel=1e-12)
 
 
+def test_wold_projectors_refuse_cut_at_far_wall():
+    g = make_grid(40, 1024)
+    for t in (45.0, 40.0):
+        with pytest.raises(ValidationError, match="far wall"):
+            wold_projectors(g, 1.0, t)
+
+
 def test_comp_semigroup_defect_small(medium):
     g, xe, _ = medium
     d = comp_semigroup_check(xe, 1.0, 0.5, 0.7)
