@@ -4,13 +4,14 @@ Three routes compute or approximate the viscous group at viscosity
 epsilon with drift b:
 
 * ``kernel_evolve``    image-charge propagator quadrature by FFT (b > 0, t > 0)
-* ``spectral_evolve``  gauge transform plus odd-extension FFT (any sign of b)
+* ``spectral_evolve``  gauge transform plus N-point sine transform (any sign of b)
 * ``asymptotic_evolve`` two-wave closed form, exact only in the limit
 
 The first two are independent discretizations of the same group and
 are cross-checked against each other in the tests; the third is the
 candidate limit shape whose distance to the others is the quantity
-convergence sweeps measure.
+convergence sweeps measure.  ``spectral_ladder`` is the spectral route
+for one viscosity at several times, sharing one forward transform.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def _kernel_sum_fft(x, phi, eps, b, t, h):
     on i - j, a Toeplitz matrix, and the image phase
     a (x_i + x_j - b t)^2 only on i + j, a Hankel matrix, which is the
     Toeplitz matrix of the reversed data.  Both products are exact up to
-    FFT roundoff, so this is the same sum as ``_kernel_sum_direct``.
+    FFT roundoff, so this is the same sum as evaluating every phase
+    literally.
     """
     n = x.shape[0]
     a = 1.0 / (4.0 * eps * t)
@@ -137,23 +139,6 @@ def _kernel_sum_fft(x, phi, eps, b, t, h):
     direct = _toeplitz_apply(np.exp(1j * a * (d + b * t) ** 2), phi)
     image = _toeplitz_apply(np.exp(1j * a * (d + n * h - b * t) ** 2), phi[::-1])
     return pref * (direct - np.exp(1j * b / eps * x) * image)
-
-
-def _kernel_sum_direct(x, phi, eps, b, t, h):
-    """Same quadrature with the phases evaluated literally, row by row.
-
-    The small-N oracle for ``_kernel_sum_fft``.  Costs two exp(N) per
-    output node.
-    """
-    n = x.shape[0]
-    a = 1.0 / (4.0 * eps * t)
-    pref = np.exp(-0.25j * np.pi) / math.sqrt(4.0 * math.pi * eps * t) * h
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        p1 = a * (x[i] - x + b * t) ** 2
-        p2 = a * (x[i] + x - b * t) ** 2 + b * x[i] / eps
-        out[i] = pref * (np.exp(1j * p1) @ phi - np.exp(1j * p2) @ phi)
-    return out
 
 
 def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
@@ -191,30 +176,68 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     return WaveFunction(g, vals)
 
 
-def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
-    """Evolve by gauge transform and odd-extension FFT.
+def _at_minus_q(v: np.ndarray) -> np.ndarray:
+    """v_(-q mod N) for q = 0..N-1: the FFT index reflected through zero."""
+    return np.concatenate((v[:1], v[:0:-1]))
 
-    The drift is removed by the unimodular gauge e^(i b x / 2 eps), the
-    remaining free flow is diagonal over the sine modes of [0, L], and
-    the gauge is restored together with the accumulated phase
-    e^(i b^2 t / 4 eps).  Unitary up to roundoff for any sign of b.
-    t = 0 returns the data unchanged.
+
+def spectral_ladder(phi: WaveFunction, epsilon: float, b: float, times):
+    """Evolve at one viscosity to each of several times, yielding (t, u).
+
+    The gauge e^(i b x / 2 eps) removes the drift, the free flow turns
+    each sine mode sin(k pi x / L), k = 1..N, by e^(-i eps t (k pi / L)^2),
+    and the gauge returns with the phase e^(i b^2 t / 4 eps).  Unitary
+    up to roundoff for any sign of b.
+
+    The midpoint sine transform (DST-II) of u_j is the DCT-II of
+    (-1)^j u_j read from the top, q = N - k, and that is one N-point FFT
+    W of the even samples followed by the odd ones reversed (Makhoul,
+    IEEE Trans. ASSP 28, 1980, 27-34).  A multiplier m_q on the cosine
+    modes mixes W_q only with W_(-q):
+    W'_q = (m_q + m_(N-q)) W_q / 2 + e^(i pi q / N) (m_q - m_(N-q)) W_(-q) / 2.
+    The gates, the gauge and the forward FFT are done once per call;
+    each time costs one inverse FFT.
     """
     g = phi.grid
-    if p.t == 0:
-        return WaveFunction(g, phi.values)
-    require_resolved(g, p.epsilon, p.b, "spectral_evolve")
+    n = g.N
+    times = tuple(times)
+    for t in times:
+        check_params(epsilon, b, t)
+    require_resolved(g, epsilon, b, "spectral_evolve")
     _require_pinned(phi, "spectral_evolve")
 
-    v = np.exp(-0.5j * p.b / p.epsilon * g.x) * phi.values
-    ext = np.empty(2 * g.N, dtype=np.complex128)
-    ext[g.N:] = v
-    ext[:g.N] = -v[::-1]
-    xi = 2.0 * math.pi * np.fft.fftfreq(2 * g.N, d=g.h)
-    ext = np.fft.ifft(np.fft.fft(ext) * np.exp(-1j * p.epsilon * p.t * xi * xi))
-    drift = p.b * p.b * p.t / (4.0 * p.epsilon)
-    w = np.exp(1j * (drift + 0.5 * p.b / p.epsilon * g.x)) * ext[g.N:]
-    return WaveFunction(g, w)
+    # The sign (-1)^j rides on the gauge; it is real, so the conjugate
+    # gauge undoes both.
+    gauge = np.exp(-0.5j * b / epsilon * g.x)
+    gauge[1::2] *= -1.0
+    s = gauge * phi.values
+    w = np.fft.fft(np.concatenate((s[0::2], s[::-2])))
+    del s
+    w *= 0.5
+    w_neg = np.exp(1j * math.pi / n * np.arange(n)) * _at_minus_q(w)
+    np.conjugate(gauge, out=gauge)
+    k2 = (np.arange(n, 0, -1) * (math.pi / g.L)) ** 2
+    for t in times:
+        m = np.exp(-1j * epsilon * t * k2)
+        m_neg = _at_minus_q(m)
+        v = np.fft.ifft((m + m_neg) * w + (m - m_neg) * w_neg)
+        del m, m_neg
+        u = np.empty(n, dtype=np.complex128)
+        u[0::2] = v[:n // 2]
+        u[::-2] = v[n // 2:]
+        del v
+        u *= gauge
+        u *= np.exp(0.25j * b * b * t / epsilon)
+        yield t, WaveFunction(g, u)
+
+
+def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
+    """Evolve by gauge transform and sine transform: ``spectral_ladder``
+    at the one time p.t.  t = 0 returns the data unchanged."""
+    if p.t == 0:
+        return WaveFunction(phi.grid, phi.values)
+    ((_, u),) = spectral_ladder(phi, p.epsilon, p.b, (p.t,))
+    return u
 
 
 def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
@@ -235,10 +258,16 @@ def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             ResolutionWarning,
             stacklevel=2,
         )
-    moved = shift_sample(phi, p.b * p.t)
-    mirrored = reflect_sample(phi, p.b * p.t)
-    vals = moved.values - np.exp(1j * p.b / p.epsilon * g.x) * mirrored.values
-    return WaveFunction(g, vals)
+    return _two_wave(shift_sample(phi, p.b * p.t), reflect_sample(phi, p.b * p.t),
+                     p.epsilon, p.b)
+
+
+def _two_wave(moved: WaveFunction, mirrored: WaveFunction, epsilon: float,
+              b: float) -> WaveFunction:
+    """moved - e^(i b x / epsilon) mirrored.  The two parts depend on b t
+    alone, so a ladder at one time can share them across its rungs."""
+    g = moved.grid
+    return WaveFunction(g, moved.values - np.exp(1j * b / epsilon * g.x) * mirrored.values)
 
 
 def remainder_norm(phi: WaveFunction, p: EvolutionParams) -> float:

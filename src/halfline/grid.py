@@ -34,8 +34,9 @@ class Grid:
     L : float
         Length of the computational interval.
     N : int
-        Number of cells.  Must be a power of two, at least 8, so the
-        spectral engine can extend to a 2N-point transform.
+        Number of cells.  Must be a power of two, at least 8, so N is
+        even for the spectral engine's N-point reordering and its FFTs
+        stay fast.
     h : float
         Cell width L / N, derived.
     x : numpy.ndarray

@@ -9,7 +9,6 @@ both are byte-identical across reruns of the same configuration.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -17,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, check_params
-from .evolvers import (
-    EvolutionParams,
-    limit_group_V,
-    remainder_norm,
-    require_resolved,
-    spectral_evolve,
-)
+from .evolvers import _two_wave, limit_group_V, require_resolved, spectral_ladder
 from .grid import (
     BoundedFunction,
     Grid,
@@ -32,6 +25,8 @@ from .grid import (
     inner,
     make_grid,
     norm,
+    reflect_sample,
+    shift_sample,
 )
 from .limit_dynamics import comp_state_evolve, mult_expectation_limit
 from .observables import (
@@ -69,20 +64,21 @@ class SweepConfig:
     eps: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for t in self.times:
+            check_params(t=t)
+            if t == 0:
+                raise ValidationError(f"sweep times must be positive, got {t!r}")
+        for e in self.eps:
+            check_params(epsilon=e)
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "eps", tuple(float(e) for e in self.eps))
         check_params(b=self.b)
         if len(self.times) == 0:
             raise ValidationError("at least one time is required")
-        for t in self.times:
-            if not (math.isfinite(t) and t > 0):
-                raise ValidationError(f"sweep times must be positive, got {t!r}")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValidationError(f"times must be strictly increasing, got {self.times}")
         if len(self.eps) == 0:
             raise ValidationError("the viscosity ladder must be nonempty")
-        for e in self.eps:
-            check_params(epsilon=e)
         if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
             raise ValidationError(
                 f"the viscosity ladder must be strictly decreasing, got {self.eps}"
@@ -144,12 +140,13 @@ def attach_ratios(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
 def _rungs(cfg: SweepConfig, phi: WaveFunction, eps=None, times=None):
     """Walk a ladder epsilon-major, yielding (epsilon, t, u_eps(t)).
 
-    The one place a sweep evolves; eps and times default to the
-    configured ladder and times.
+    The one place a sweep evolves, one ``spectral_ladder`` per rung;
+    eps and times default to the configured ladder and times.
     """
+    times = cfg.times if times is None else times
     for e in cfg.eps if eps is None else eps:
-        for t in cfg.times if times is None else times:
-            yield e, t, spectral_evolve(phi, EvolutionParams(epsilon=e, b=cfg.b, t=t))
+        for t, u in spectral_ladder(phi, e, cfg.b, times):
+            yield e, t, u
 
 
 def _defect(u: WaveFunction, v: WaveFunction) -> WaveFunction:
@@ -168,14 +165,18 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
     grid, phi = _prepare(cfg)
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     t_sup = max(cfg.times)
+    # The transported and reflected parts depend on t alone, not on the rung.
+    parts = {t: (shift_sample(phi, cfg.b * t), reflect_sample(phi, cfg.b * t))
+             for t in cfg.times}
     records = []
-    for e in cfg.eps:
-        worst = 0.0
-        for t in cfg.times:
-            r = remainder_norm(phi, EvolutionParams(epsilon=e, b=cfg.b, t=t))
-            worst = max(worst, r)
-            records.append(rec(t, e, "remainder", r))
-        records.append(rec(t_sup, e, "sup_remainder", worst))
+    worst = 0.0
+    for e, t, u in _rungs(cfg, phi):
+        r = norm(_defect(u, _two_wave(*parts[t], e, cfg.b)))
+        worst = max(worst, r)
+        records.append(rec(t, e, "remainder", r))
+        if t == t_sup:
+            records.append(rec(t_sup, e, "sup_remainder", worst))
+            worst = 0.0
     return records
 
 

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import halfline.evolvers as evolvers
 from halfline import (
     EvolutionParams,
     GROUP_TOL,
     KERNEL_NORM_TOL,
     ResolutionError,
     ResolutionWarning,
+    SweepConfig,
     UNITARITY_RTOL,
     ValidationError,
     WaveFunction,
@@ -23,7 +26,23 @@ from halfline import (
     shift_sample,
     spectral_evolve,
 )
-from halfline.evolvers import _kernel_sum_direct, _kernel_sum_fft
+from halfline.evolvers import _kernel_sum_fft, spectral_ladder
+from halfline.harness import _rungs
+
+
+def _kernel_sum_direct(x, phi, eps, b, t, h):
+    """The quadrature of ``_kernel_sum_fft`` with every phase evaluated
+    literally, row by row: its small-N oracle.  Costs two exp(N) per
+    output node."""
+    n = x.shape[0]
+    a = 1.0 / (4.0 * eps * t)
+    pref = np.exp(-0.25j * np.pi) / math.sqrt(4.0 * math.pi * eps * t) * h
+    out = np.empty(n, dtype=np.complex128)
+    for i in range(n):
+        p1 = a * (x[i] - x + b * t) ** 2
+        p2 = a * (x[i] + x - b * t) ** 2 + b * x[i] / eps
+        out[i] = pref * (np.exp(1j * p1) @ phi - np.exp(1j * p2) @ phi)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +123,90 @@ def test_spectral_gauged_eigenmode(b):
     out = spectral_evolve(phi, EvolutionParams(eps, b, t))
     phase = b * b * t / (4.0 * eps) - eps * (3.0 * math.pi / g.L) ** 2 * t
     np.testing.assert_allclose(out.values, np.exp(1j * phase) * phi.values, atol=1e-12)
+
+
+def _dst_evolve(x, L, vals, eps, b, t):
+    """The same step through scipy's midpoint sine transform: DST-II,
+    the multiplier on modes k = 1..N, and its inverse."""
+    k = np.arange(1, x.shape[0] + 1) * (math.pi / L)
+    v = np.exp(-0.5j * b / eps * x) * vals
+    w = scipy.fft.idst(scipy.fft.dst(v, type=2) * np.exp(-1j * eps * t * k * k), type=2)
+    return np.exp(1j * (b * b * t / (4.0 * eps) + 0.5 * b / eps * x)) * w
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 4096])
+@pytest.mark.parametrize("b", [1.0, -1.0])
+def test_spectral_matches_scipy_dst(n, b):
+    # Random data, zero on the three nodes the wall gate extrapolates
+    # from, so every sine mode up to the Nyquist one k = N is present.
+    # h is fixed, so the top mode turns by the same phase, about 95 rad,
+    # at every N; the phase's own rounding stays far below the tolerance.
+    g = make_grid(n / 8, n)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    vals[:3] = 0.0
+    phi = WaveFunction(g, vals)
+    eps, t = 0.5, 0.3
+    out = spectral_evolve(phi, EvolutionParams(eps, b, t))
+    np.testing.assert_allclose(
+        out.values, _dst_evolve(g.x, g.L, vals, eps, b, t), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0])
+@pytest.mark.parametrize("top", [False, True])
+def test_spectral_carries_lowest_and_nyquist_mode(monkeypatch, b, top):
+    # k = N samples to (-1)^j, which the FFT reordering has to carry
+    # through W_0.  It does not vanish at the wall, so the wall gate is
+    # switched off: the transform itself is under test here.
+    monkeypatch.setattr(evolvers, "_require_pinned", lambda phi, engine: None)
+    g = make_grid(8.0, 64)
+    eps, t = 0.4, 0.9
+    k = g.N if top else 1
+    phi = WaveFunction(g, np.exp(0.5j * b / eps * g.x) * np.sin(k * math.pi / g.L * g.x))
+    out = spectral_evolve(phi, EvolutionParams(eps, b, t))
+    phase = b * b * t / (4.0 * eps) - eps * (k * math.pi / g.L) ** 2 * t
+    np.testing.assert_allclose(out.values, np.exp(1j * phase) * phi.values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0])
+def test_spectral_ladder_equals_single_steps(small, b):
+    g, phi = small
+    times = (0.25, 0.5, 1.0)
+    ladder = list(spectral_ladder(phi, 0.3, b, times))
+    assert [t for t, _ in ladder] == list(times)
+    for t, u in ladder:
+        assert np.array_equal(u.values, spectral_evolve(phi, EvolutionParams(0.3, b, t)).values)
+
+
+def test_rungs_run_one_forward_fft_per_rung(monkeypatch):
+    cfg = SweepConfig(preset="xexp", L=10.0, N=2 ** 10, b=1.0,
+                      times=(0.25, 0.5, 1.0), eps=(0.4, 0.3, 0.2))
+    phi = get_preset("xexp", make_grid(cfg.L, cfg.N))
+    calls = {"fft": 0, "ifft": 0}
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evolvers.np.fft, name, counted(name))
+    states = list(_rungs(cfg, phi))
+    assert len(states) == 9
+    assert calls == {"fft": 3, "ifft": 9}
+
+
+def test_spectral_ladder_refuses_bad_times(small):
+    g, phi = small
+    with pytest.raises(ValidationError):
+        list(spectral_ladder(phi, 0.3, 1.0, (0.5, -1.0)))
+    with pytest.raises(ResolutionError):
+        list(spectral_ladder(phi, 1e-6, 1.0, (0.5,)))
 
 
 def test_spectral_group_law(small):

@@ -42,6 +42,10 @@ def test_sweep_config_validation():
     for bad_b in (0.0, "1", True):
         with pytest.raises(ValidationError):
             SweepConfig(**{**ok, "b": bad_b})
+    for bad in ({"times": ("0.5",)}, {"times": ("a",)}, {"times": (0.5, True)},
+                {"eps": (True,)}, {"eps": (0.3, "0.15")}):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            SweepConfig(**{**ok, **bad})
 
 
 def test_sweep_refuses_underresolved_rung():

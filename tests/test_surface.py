@@ -1,12 +1,17 @@
-"""The functions the benchmark tracer wraps must exist where it looks.
+"""What the benchmark relies on from the package.
 
 `bench/tracer.py` names, per halfline module, the callables it rebinds;
 a rename or a move in the package would silently drop them from the
-per-layer report, so each pair is pinned here.
+per-layer report, so each pair is pinned here.  And `import halfline`
+stays free of scipy, whose import alone costs more than the package's
+whole set-up.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +30,14 @@ def _layers():
 def test_traced_name_resolves(module, name):
     mod = importlib.import_module(f"halfline.{module}")
     assert callable(getattr(mod, name, None))
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, halfline; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
