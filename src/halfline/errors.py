@@ -17,6 +17,12 @@ class ResolutionWarning(UserWarning):
     """Emitted when a computation proceeds on a grid that underresolves it."""
 
 
+def require_real(name: str, v) -> None:
+    """Refuse anything that is not a real number: a str, a complex, a bool."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise ValidationError(f"{name} must be a real number, got {v!r}")
+
+
 def check_params(epsilon: float | None = None, b: float | None = None,
                  t: float | None = None, *, inflow: bool = False) -> None:
     """Refuse a viscosity that is not positive, a drift that is zero (or,
@@ -24,8 +30,8 @@ def check_params(epsilon: float | None = None, b: float | None = None,
     parameters are not checked; every value must be a finite real
     number (not a bool)."""
     for name, v in (("epsilon", epsilon), ("drift b", b), ("time t", t)):
-        if v is not None and (isinstance(v, bool) or not isinstance(v, Real)):
-            raise ValidationError(f"{name} must be a real number, got {v!r}")
+        if v is not None:
+            require_real(name, v)
     if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
     if b is not None:

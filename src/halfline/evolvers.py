@@ -11,14 +11,19 @@ The first two are independent discretizations of the same group and
 are cross-checked against each other in the tests; the third is the
 candidate limit shape whose distance to the others is the quantity
 convergence sweeps measure.  ``spectral_ladder`` is the spectral route
-for one viscosity at several times, sharing one forward transform.
+over a whole viscosity x time grid: the twiddle is built once per grid
+size, the gauge and forward transform once per viscosity, the time
+multiplier once per viscous time epsilon t, and one inverse transform
+runs per pair.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,8 +186,22 @@ def _at_minus_q(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v[:1], v[:0:-1]))
 
 
-def spectral_ladder(phi: WaveFunction, epsilon: float, b: float, times):
-    """Evolve at one viscosity to each of several times, yielding (t, u).
+@lru_cache(maxsize=8)
+def _twiddle(n: int) -> np.ndarray:
+    """e^(i pi q / N) for q = 0..N-1, read-only: it depends on N alone."""
+    tw = np.exp(1j * math.pi / n * np.arange(n))
+    tw.setflags(write=False)
+    return tw
+
+
+def _free_flow(s: float, k2: np.ndarray) -> np.ndarray:
+    """The free-flow multiplier e^(-i s k^2) at viscous time s = epsilon t."""
+    return np.exp(-1j * s * k2)
+
+
+def spectral_ladder(phi: WaveFunction, eps, b: float, times):
+    """Evolve to every (epsilon, t) of a viscosity x time grid, yielding
+    (epsilon, t, u) epsilon-major.
 
     The gauge e^(i b x / 2 eps) removes the drift, the free flow turns
     each sine mode sin(k pi x / L), k = 1..N, by e^(-i eps t (k pi / L)^2),
@@ -195,48 +214,81 @@ def spectral_ladder(phi: WaveFunction, epsilon: float, b: float, times):
     IEEE Trans. ASSP 28, 1980, 27-34).  A multiplier m_q on the cosine
     modes mixes W_q only with W_(-q):
     W'_q = (m_q + m_(N-q)) W_q / 2 + e^(i pi q / N) (m_q - m_(N-q)) W_(-q) / 2.
-    The gates, the gauge and the forward FFT are done once per call;
-    each time costs one inverse FFT.
+
+    Each piece of work is done once for what it depends on: the gates
+    once for the whole grid, before any FFT; the twiddle e^(i pi q / N)
+    once per grid size; the gauge and the forward FFT once per epsilon;
+    the multiplier once per viscous time s = epsilon t, held until the
+    last pair with that s; one inverse FFT per pair.
     """
     g = phi.grid
     n = g.N
+    eps = tuple(eps)
     times = tuple(times)
     for t in times:
-        check_params(epsilon, b, t)
-    require_resolved(g, epsilon, b, "spectral_evolve")
+        check_params(t=t)
+    for e in eps:
+        check_params(epsilon=e, b=b)
+        require_resolved(g, e, b, "spectral_evolve")
     _require_pinned(phi, "spectral_evolve")
 
-    # The sign (-1)^j rides on the gauge; it is real, so the conjugate
-    # gauge undoes both.
-    gauge = np.exp(-0.5j * b / epsilon * g.x)
-    gauge[1::2] *= -1.0
-    s = gauge * phi.values
-    w = np.fft.fft(np.concatenate((s[0::2], s[::-2])))
-    del s
-    w *= 0.5
-    w_neg = np.exp(1j * math.pi / n * np.arange(n)) * _at_minus_q(w)
-    np.conjugate(gauge, out=gauge)
+    twiddle = _twiddle(n)
     k2 = (np.arange(n, 0, -1) * (math.pi / g.L)) ** 2
-    for t in times:
-        m = np.exp(-1j * epsilon * t * k2)
-        m_neg = _at_minus_q(m)
-        v = np.fft.ifft((m + m_neg) * w + (m - m_neg) * w_neg)
-        del m, m_neg
-        u = np.empty(n, dtype=np.complex128)
-        u[0::2] = v[:n // 2]
-        u[::-2] = v[n // 2:]
-        del v
-        u *= gauge
-        u *= np.exp(0.25j * b * b * t / epsilon)
-        yield t, WaveFunction(g, u)
+    uses = Counter(e * t for e in eps for t in times)
+    multipliers: dict[float, np.ndarray] = {}
+    for e in eps:
+        # The sign (-1)^j rides on the gauge; it is real, so the conjugate
+        # gauge undoes both.
+        gauge = np.exp(-0.5j * b / e * g.x)
+        gauge[1::2] *= -1.0
+        s = gauge * phi.values
+        w = np.fft.fft(np.concatenate((s[0::2], s[::-2])))
+        del s
+        w *= 0.5
+        np.conjugate(gauge, out=gauge)
+        for t in times:
+            st = e * t
+            m = multipliers.get(st)
+            if m is None:
+                m = multipliers[st] = _free_flow(st, k2)
+            uses[st] -= 1
+            if uses[st] == 0:
+                del multipliers[st]
+            m_neg = _at_minus_q(m)
+            even = m + m_neg
+            even *= w
+            np.subtract(m, m_neg, out=m_neg)
+            del m
+            w_neg = _at_minus_q(w)
+            # numpy's complex product is not bit-symmetric in its operands;
+            # twiddle first keeps reports byte-stable.
+            np.multiply(twiddle, w_neg, out=w_neg)
+            m_neg *= w_neg
+            del w_neg
+            even += m_neg
+            del m_neg
+            v = np.fft.ifft(even, out=even)
+            del even
+            u = np.empty(n, dtype=np.complex128)
+            u[0::2] = v[:n // 2]
+            u[::-2] = v[n // 2:]
+            del v
+            u *= gauge
+            u *= np.exp(0.25j * b * b * t / e)
+            out = WaveFunction(g, u)
+            del u
+            yield e, t, out
+            # Hold no state while the next is built: a caller that drops
+            # its copy frees the memory.
+            del out
 
 
 def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     """Evolve by gauge transform and sine transform: ``spectral_ladder``
-    at the one time p.t.  t = 0 returns the data unchanged."""
+    at the one pair (p.epsilon, p.t).  t = 0 returns the data unchanged."""
     if p.t == 0:
         return WaveFunction(phi.grid, phi.values)
-    ((_, u),) = spectral_ladder(phi, p.epsilon, p.b, (p.t,))
+    ((_, _, u),) = spectral_ladder(phi, (p.epsilon,), p.b, (p.t,))
     return u
 
 
@@ -258,16 +310,9 @@ def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             ResolutionWarning,
             stacklevel=2,
         )
-    return _two_wave(shift_sample(phi, p.b * p.t), reflect_sample(phi, p.b * p.t),
-                     p.epsilon, p.b)
-
-
-def _two_wave(moved: WaveFunction, mirrored: WaveFunction, epsilon: float,
-              b: float) -> WaveFunction:
-    """moved - e^(i b x / epsilon) mirrored.  The two parts depend on b t
-    alone, so a ladder at one time can share them across its rungs."""
-    g = moved.grid
-    return WaveFunction(g, moved.values - np.exp(1j * b / epsilon * g.x) * mirrored.values)
+    moved = shift_sample(phi, p.b * p.t)
+    mirrored = reflect_sample(phi, p.b * p.t)
+    return WaveFunction(g, moved.values - np.exp(1j * p.b / p.epsilon * g.x) * mirrored.values)
 
 
 def remainder_norm(phi: WaveFunction, p: EvolutionParams) -> float:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_real
 
 # Relative boundary trace below which sampled data counts as satisfying
 # the u(0) = 0 condition.  Closed-form inputs sit at machine zero; the
@@ -53,7 +53,8 @@ class Grid:
             raise ValidationError(f"N must be an integer >= 8, got {self.N!r}")
         if self.N & (self.N - 1) != 0:
             raise ValidationError(f"N must be a power of two, got {self.N}")
-        if not (isinstance(self.L, (int, float)) and math.isfinite(self.L) and self.L > 0):
+        require_real("L", self.L)
+        if not (math.isfinite(self.L) and self.L > 0):
             raise ValidationError(f"L must be a positive finite number, got {self.L!r}")
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "N", int(self.N))
@@ -109,6 +110,7 @@ class BoundedFunction:
 
     def __post_init__(self) -> None:
         v = _samples(self.grid, self.values)
+        require_real("bound", self.bound)
         if not (math.isfinite(self.bound) and self.bound >= 0):
             raise ValidationError(f"bound must be finite and nonnegative, got {self.bound!r}")
         peak = float(np.max(np.abs(v))) if v.size else 0.0
@@ -187,6 +189,7 @@ def shift_sample(u: WaveFunction, s: float) -> WaveFunction:
 
     s = 0 reproduces u exactly, with no interpolation roundoff.
     """
+    require_real("shift", s)
     if not math.isfinite(s):
         raise ValidationError(f"shift must be finite, got {s!r}")
     if s == 0.0:
@@ -196,6 +199,7 @@ def shift_sample(u: WaveFunction, s: float) -> WaveFunction:
 
 def reflect_sample(u: WaveFunction, c: float) -> WaveFunction:
     """Sample x -> u(c - x), the mirror image of u about c/2."""
+    require_real("reflection offset", c)
     if not math.isfinite(c):
         raise ValidationError(f"reflection offset must be finite, got {c!r}")
     return WaveFunction(u.grid, sample_at(u, c - u.grid.x))
@@ -203,6 +207,8 @@ def reflect_sample(u: WaveFunction, c: float) -> WaveFunction:
 
 def indicator_project(u: WaveFunction, a: float, b: float) -> WaveFunction:
     """Multiply by the indicator of the closed band [a, b] intersected with the grid."""
+    require_real("band endpoint a", a)
+    require_real("band endpoint b", b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("band endpoints must be finite")
     if a > b:

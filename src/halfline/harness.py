@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, check_params
-from .evolvers import _two_wave, limit_group_V, require_resolved, spectral_ladder
+from .evolvers import limit_group_V, require_resolved, spectral_ladder
 from .grid import (
     BoundedFunction,
     Grid,
@@ -140,13 +140,12 @@ def attach_ratios(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
 def _rungs(cfg: SweepConfig, phi: WaveFunction, eps=None, times=None):
     """Walk a ladder epsilon-major, yielding (epsilon, t, u_eps(t)).
 
-    The one place a sweep evolves, one ``spectral_ladder`` per rung;
-    eps and times default to the configured ladder and times.
+    The one place a sweep evolves: one ``spectral_ladder`` over the whole
+    viscosity x time grid.  eps and times default to the configured
+    ladder and times.
     """
-    times = cfg.times if times is None else times
-    for e in cfg.eps if eps is None else eps:
-        for t, u in spectral_ladder(phi, e, cfg.b, times):
-            yield e, t, u
+    return spectral_ladder(phi, cfg.eps if eps is None else eps, cfg.b,
+                           cfg.times if times is None else times)
 
 
 def _defect(u: WaveFunction, v: WaveFunction) -> WaveFunction:
@@ -171,12 +170,22 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
     records = []
     worst = 0.0
     for e, t, u in _rungs(cfg, phi):
-        r = norm(_defect(u, _two_wave(*parts[t], e, cfg.b)))
+        if t == cfg.times[0]:
+            # The reflected wave's phase depends on the rung alone; exp in
+            # place, so no second N-point buffer lives beside the ladder's.
+            phase = 1j * cfg.b / e * grid.x
+            np.exp(phase, out=phase)
+        moved, mirrored = parts[t]
+        d = phase * mirrored.values
+        np.subtract(moved.values, d, out=d)
+        np.subtract(u.values, d, out=u.values)
+        r = norm(u)
         worst = max(worst, r)
         records.append(rec(t, e, "remainder", r))
         if t == t_sup:
             records.append(rec(t_sup, e, "sup_remainder", worst))
             worst = 0.0
+        del u  # free this state before the ladder builds the next
     return records
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_real
 from .grid import BoundedFunction, WaveFunction, inner, require_unit, weighted_mass
 from .limit_dynamics import ALPHA_FLOOR, comp_state_evolve, mult_expectation_limit
 
@@ -40,7 +40,8 @@ class FiniteRankObservable:
         if len(self.coeffs) == 0:
             raise ValidationError("finite-rank observable needs at least one term")
         for c in self.coeffs:
-            if not (isinstance(c, (int, float)) and math.isfinite(c)):
+            require_real("coefficient", c)
+            if not math.isfinite(c):
                 raise ValidationError(f"coefficients must be finite reals, got {c!r}")
         g = self.directions[0].grid
         for d in self.directions:

@@ -169,24 +169,28 @@ def test_spectral_carries_lowest_and_nyquist_mode(monkeypatch, b, top):
     np.testing.assert_allclose(out.values, np.exp(1j * phase) * phi.values, rtol=0, atol=1e-12)
 
 
+# eps halves while t doubles, so the viscous times eps t repeat: 9 pairs,
+# 5 distinct products.
+LADDER_EPS = (0.4, 0.2, 0.1)
+LADDER_TIMES = (0.25, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("b", [1.0, -1.0])
 def test_spectral_ladder_equals_single_steps(small, b):
     g, phi = small
-    times = (0.25, 0.5, 1.0)
-    ladder = list(spectral_ladder(phi, 0.3, b, times))
-    assert [t for t, _ in ladder] == list(times)
-    for t, u in ladder:
-        assert np.array_equal(u.values, spectral_evolve(phi, EvolutionParams(0.3, b, t)).values)
+    ladder = list(spectral_ladder(phi, LADDER_EPS, b, LADDER_TIMES))
+    assert [(e, t) for e, t, _ in ladder] == [
+        (e, t) for e in LADDER_EPS for t in LADDER_TIMES
+    ]
+    for e, t, u in ladder:
+        assert np.array_equal(u.values, spectral_evolve(phi, EvolutionParams(e, b, t)).values)
 
 
-def test_rungs_run_one_forward_fft_per_rung(monkeypatch):
-    cfg = SweepConfig(preset="xexp", L=10.0, N=2 ** 10, b=1.0,
-                      times=(0.25, 0.5, 1.0), eps=(0.4, 0.3, 0.2))
-    phi = get_preset("xexp", make_grid(cfg.L, cfg.N))
-    calls = {"fft": 0, "ifft": 0}
+def _count_calls(monkeypatch, owner, names):
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        fn = getattr(np.fft, name)
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -194,19 +198,40 @@ def test_rungs_run_one_forward_fft_per_rung(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(evolvers.np.fft, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name))
+    return calls
+
+
+def test_rungs_run_one_forward_fft_per_rung(monkeypatch):
+    cfg = SweepConfig(preset="xexp", L=10.0, N=2 ** 10, b=1.0,
+                      times=LADDER_TIMES, eps=LADDER_EPS)
+    phi = get_preset("xexp", make_grid(cfg.L, cfg.N))
+    ffts = _count_calls(monkeypatch, evolvers.np.fft, ("fft", "ifft"))
+    multipliers = _count_calls(monkeypatch, evolvers, ("_free_flow",))
     states = list(_rungs(cfg, phi))
     assert len(states) == 9
-    assert calls == {"fft": 3, "ifft": 9}
+    assert ffts == {"fft": 3, "ifft": 9}
+    assert multipliers == {"_free_flow": 5}
 
 
-def test_spectral_ladder_refuses_bad_times(small):
+def test_spectral_ladder_refuses_bad_times(monkeypatch, small):
+    # A bad time or an unresolved rung anywhere on the grid is refused
+    # before the first transform.
     g, phi = small
-    with pytest.raises(ValidationError):
-        list(spectral_ladder(phi, 0.3, 1.0, (0.5, -1.0)))
-    with pytest.raises(ResolutionError):
-        list(spectral_ladder(phi, 1e-6, 1.0, (0.5,)))
+    ffts = _count_calls(monkeypatch, evolvers.np.fft, ("fft", "ifft"))
+    for b in (1.0, -1.0):
+        with pytest.raises(ValidationError):
+            list(spectral_ladder(phi, LADDER_EPS, b, (0.25, 0.5, -1.0)))
+        with pytest.raises(ResolutionError):
+            list(spectral_ladder(phi, (0.4, 0.2, 1e-6), b, LADDER_TIMES))
+    assert ffts == {"fft": 0, "ifft": 0}
+
+
+def test_twiddle_cached_read_only():
+    tw = evolvers._twiddle(64)
+    assert evolvers._twiddle(64) is tw
+    assert not tw.flags.writeable
 
 
 def test_spectral_group_law(small):

@@ -37,6 +37,17 @@ def test_make_grid_rejects(L, N):
         make_grid(L, N)
 
 
+@pytest.mark.parametrize("L", [True, "40", 40 + 0j])
+def test_make_grid_refuses_non_real_length(L):
+    with pytest.raises(ValidationError, match="L must be a real number"):
+        make_grid(L, 8)
+
+
+def test_make_grid_accepts_numpy_length():
+    g = make_grid(np.float32(40), 64)
+    assert g.L == 40.0 and type(g.L) is float
+
+
 def test_wavefunction_shape_and_finite():
     g = make_grid(10.0, 16)
     with pytest.raises(ValidationError):
@@ -56,6 +67,28 @@ def test_bounded_function_checks_bound():
     assert f.bound == 2.0
     f2 = BoundedFunction.from_callable(g, lambda x: np.sin(x))
     assert f2.bound <= 1.0
+
+
+@pytest.mark.parametrize("bound", ["1", True, 1 + 0j])
+def test_bounded_function_refuses_non_real_bound(bound):
+    g = make_grid(10.0, 16)
+    with pytest.raises(ValidationError, match="bound must be a real number"):
+        BoundedFunction(g, np.zeros(16), bound)
+
+
+@pytest.mark.parametrize(
+    "op,name",
+    [
+        (lambda u: shift_sample(u, "1"), "shift"),
+        (lambda u: reflect_sample(u, "1"), "reflection offset"),
+        (lambda u: indicator_project(u, "0", 2.0), "band endpoint a"),
+        (lambda u: indicator_project(u, 0.0, True), "band endpoint b"),
+    ],
+)
+def test_sampling_refuses_non_real_offsets(op, name):
+    g = make_grid(10.0, 64)
+    with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+        op(WaveFunction(g, np.ones(64)))
 
 
 def _random_wave(g, seed):

@@ -38,6 +38,13 @@ def test_finite_rank_validation(setup):
         FiniteRankObservable(coeffs=(1.0, 1.0), directions=(xe, other))
 
 
+@pytest.mark.parametrize("c", [True, "1", 1 + 0j])
+def test_finite_rank_refuses_non_real_coefficient(setup, c):
+    g, xe = setup
+    with pytest.raises(ValidationError, match="coefficient must be a real number"):
+        FiniteRankObservable(coeffs=(c,), directions=(xe,))
+
+
 def test_mult_expectation_matches_band_mass(setup):
     g, xe = setup
     ind = MultiplicationObservable(
