@@ -19,7 +19,6 @@ from .grid import (
 )
 from .presets import PRESET_NAMES, REFERENCE_L, REFERENCE_N, get_preset, preset_function
 from .evolvers import (
-    CROSS_TOL,
     EvolutionParams,
     GROUP_TOL,
     KERNEL_NORM_TOL,

@@ -21,7 +21,7 @@ from .evolvers import (
     kernel_evolve,
     spectral_evolve,
 )
-from .grid import WaveFunction, boundary_value, make_grid, norm
+from .grid import WaveFunction, boundary_value, make_grid, mass, norm
 from .harness import CLAIMS, SweepConfig, emit_report, require_inside, run_claim
 from .limit_dynamics import (
     comp_state_evolve,
@@ -187,8 +187,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
         ("completeness_defect", ks.completeness_defect),
         ("alpha", st.alpha), ("singular_weight", st.singular_weight),
         ("destruction_time", destruction_time(phi, b)),
-        ("wold_upper", norm(wp.upper(phi)) ** 2),
-        ("wold_lower", norm(wp.lower(phi)) ** 2),
+        ("wold_upper", mass(wp.upper(phi))),
+        ("wold_lower", mass(wp.lower(phi))),
     ]
     _print_result(pairs, args.json)
     return 0

@@ -52,7 +52,6 @@ BOUNDARY_GATE = 1e-3
 # kernel route only to quadrature accuracy.
 UNITARITY_RTOL = 1e-10
 KERNEL_NORM_TOL = 1e-3
-CROSS_TOL = 1e-3
 GROUP_TOL = 1e-9
 
 

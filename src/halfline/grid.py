@@ -140,14 +140,30 @@ def _same_grid(u: WaveFunction, v: WaveFunction) -> Grid:
     return u.grid
 
 
+# Norms and inner products are summed by einsum, which with its default
+# optimize=False never calls BLAS: its summation order does not depend on
+# the BLAS thread count, so neither do the reports.
+
+
+def density(u: WaveFunction) -> np.ndarray:
+    """Pointwise |u|^2."""
+    return u.values.real ** 2 + u.values.imag ** 2
+
+
+def mass(u: WaveFunction) -> float:
+    """Midpoint quadrature h * sum |u|^2, the squared norm."""
+    r = u.values.view(np.float64)
+    return float(u.grid.h * np.einsum("i,i->", r, r))
+
+
 def inner(u: WaveFunction, v: WaveFunction) -> complex:
     """Midpoint quadrature inner product, conjugate-linear in the first slot."""
     g = _same_grid(u, v)
-    return complex(g.h * np.vdot(u.values, v.values))
+    return complex(g.h * np.einsum("i,i->", u.values.conj(), v.values))
 
 
 def norm(u: WaveFunction) -> float:
-    return math.sqrt(max(float(np.real(inner(u, u))), 0.0))
+    return math.sqrt(mass(u))
 
 
 def require_unit(u: WaveFunction, who: str) -> None:
@@ -157,9 +173,9 @@ def require_unit(u: WaveFunction, who: str) -> None:
         raise ValidationError(f"{who} needs a unit vector, norm is {n:.8f}")
 
 
-def weighted_mass(f: BoundedFunction, density: np.ndarray) -> float | complex:
-    """Midpoint quadrature h * sum f * density, real when f is real."""
-    val = complex(f.grid.h * np.sum(f.values * density))
+def weighted_mass(f: BoundedFunction, dens: np.ndarray) -> float | complex:
+    """Midpoint quadrature h * sum f * dens, real when f is real."""
+    val = complex(f.grid.h * np.sum(f.values * dens))
     if np.all(f.values.imag == 0.0):
         return val.real
     return val

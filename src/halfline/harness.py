@@ -9,6 +9,7 @@ both are byte-identical across reruns of the same configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -24,6 +25,7 @@ from .grid import (
     indicator_project,
     inner,
     make_grid,
+    mass,
     norm,
     reflect_sample,
     shift_sample,
@@ -107,7 +109,7 @@ def require_inside(phi: WaveFunction, b: float, horizon: float) -> None:
         raise ValidationError(
             f"horizon {horizon:g} sweeps past the far wall at L={phi.grid.L:g}"
         )
-    tail = norm(indicator_project(phi, reach, phi.grid.L)) ** 2
+    tail = mass(indicator_project(phi, reach, phi.grid.L))
     if tail > TAIL_GATE:
         raise ValidationError(
             f"preset carries mass {tail:.3e} within reach of the far wall"
@@ -285,11 +287,11 @@ def sweep_prop2(cfg: SweepConfig, psi_name: str = "xexp") -> list[ConvergenceRec
     records = []
     for e, t, u in _rungs(cfg, phi):
         diff = _defect(u, v[t])
-        strong = norm(diff)
-        records.append(rec(t, e, "strong_gap", strong))
+        gap_sq = mass(diff)
+        records.append(rec(t, e, "strong_gap", math.sqrt(gap_sq)))
         if cfg.b > 0:
             records.append(rec(t, e, f"weak_gap[{psi_name}]", abs(inner(psi, diff))))
-            records.append(rec(t, e, "stall_defect", abs(strong ** 2 - lost[t])))
+            records.append(rec(t, e, "stall_defect", abs(gap_sq - lost[t])))
     return records
 
 
@@ -328,25 +330,28 @@ def divergence_probe(cfg: SweepConfig, eps0: float | None = None) -> list[Conver
     v = limit_group_V(phi, cfg.b, t)
     states = [u for _, _, u in _rungs(cfg, phi, eps=ladder, times=(t,))]
     defects = [_defect(u, v) for u in states]
+    gaps_sq = [mass(d) for d in defects]
 
     directions: list[WaveFunction] = []
     coeffs: list[float] = []
-    for j, d in enumerate(defects):
-        r = d.values / norm(d)
+    for j, (d, m) in enumerate(zip(defects, gaps_sq)):
+        # Gram-Schmidt in place on one private copy of the defect.
+        res = WaveFunction(grid, d.values / math.sqrt(m))
         for q in directions:
-            r = r - complex(inner(q, WaveFunction(grid, r))) * q.values
-        res = WaveFunction(grid, r)
-        if norm(res) < GS_DROP_TOL:
+            res.values -= inner(q, res) * q.values
+        n = norm(res)
+        if n < GS_DROP_TOL:
             continue
-        directions.append(WaveFunction(grid, res.values / norm(res)))
+        res.values /= n
+        directions.append(res)
         coeffs.append(1.0 if j % 2 == 0 else -1.0)
     probe = FiniteRankObservable(coeffs=tuple(coeffs), directions=tuple(directions))
 
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b, t)
     values = [float(np.real(expectation(u, probe))) for u in states]
     records = []
-    for e, d, val in zip(ladder, defects, values):
-        records.append(rec(e, "probe_gap_sq", norm(d) ** 2))
+    for e, m, val in zip(ladder, gaps_sq, values):
+        records.append(rec(e, "probe_gap_sq", m))
         records.append(rec(e, "probe_expectation", val))
     records.append(rec(eps0, "probe_one_minus_alpha", lost))
     records.append(rec(eps0, "probe_peak_to_peak", max(values) - min(values)))

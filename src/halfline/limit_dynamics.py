@@ -20,8 +20,9 @@ from .grid import (
     BoundedFunction,
     Grid,
     WaveFunction,
+    density,
     indicator_project,
-    norm,
+    mass,
     reflect_sample,
     require_unit,
     shift_sample,
@@ -71,8 +72,8 @@ def kraus_apply(phi: WaveFunction, b: float, t: float) -> KrausBranchState:
     require_unit(phi, "kraus_apply")
     v = shift_V(phi, b, t)
     w = reflect_W(phi, b, t)
-    pv = norm(v) ** 2
-    pw = norm(w) ** 2
+    pv = mass(v)
+    pw = mass(w)
     return KrausBranchState(
         shift_branch=v,
         reflect_branch=w,
@@ -94,9 +95,7 @@ def mult_expectation_limit(
     check_params(b=b, t=t, inflow=True)
     if phi.grid != f.grid:
         raise ValidationError("observable and state live on different grids")
-    v = shift_V(phi, b, t).values
-    w = reflect_W(phi, b, t).values
-    return weighted_mass(f, v.real ** 2 + v.imag ** 2 + w.real ** 2 + w.imag ** 2)
+    return weighted_mass(f, density(shift_V(phi, b, t)) + density(reflect_W(phi, b, t)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState
     check_params(b=b, t=t, inflow=True)
     require_unit(phi, "comp_state_evolve")
     v = shift_V(phi, b, t)
-    alpha = min(max(norm(v) ** 2, 0.0), 1.0)
+    alpha = min(mass(v), 1.0)
     if alpha <= ALPHA_FLOOR:
         profile = None
     else:
@@ -142,8 +141,7 @@ def destruction_time(phi: WaveFunction, b: float) -> float:
     exceeds MASS_FLOOR, divided by b.
     """
     check_params(b=b, inflow=True)
-    dens = phi.values.real ** 2 + phi.values.imag ** 2
-    cum = phi.grid.h * np.cumsum(dens)
+    cum = phi.grid.h * np.cumsum(density(phi))
     idx = np.nonzero(cum > MASS_FLOOR)[0]
     if idx.size == 0:
         raise ValidationError("state carries no mass above MASS_FLOOR")

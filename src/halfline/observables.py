@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, require_real
-from .grid import BoundedFunction, WaveFunction, inner, require_unit, weighted_mass
-from .limit_dynamics import ALPHA_FLOOR, comp_state_evolve, mult_expectation_limit
+from .grid import BoundedFunction, WaveFunction, density, inner, require_unit, weighted_mass
+from .limit_dynamics import comp_state_evolve
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def expectation(u: WaveFunction, obs: Observable) -> float | complex:
         f = obs.f
         if u.grid != f.grid:
             raise ValidationError("observable and state live on different grids")
-        return weighted_mass(f, u.values.real ** 2 + u.values.imag ** 2)
+        return weighted_mass(f, density(u))
     if isinstance(obs, FiniteRankObservable):
         total = 0.0
         for c, d in zip(obs.coeffs, obs.directions):
@@ -84,17 +84,8 @@ def comp_expectation_limit(
             "comp_expectation_limit handles finite-rank observables only"
         )
     state = comp_state_evolve(phi, b, t)
-    if state.shift_profile is None or state.alpha <= ALPHA_FLOOR:
+    if state.shift_profile is None:
         return 0.0
     val = expectation(state.shift_profile, obs)
     return state.alpha * float(np.real(val))
 
-
-__all__ = [
-    "MultiplicationObservable",
-    "FiniteRankObservable",
-    "Observable",
-    "expectation",
-    "comp_expectation_limit",
-    "mult_expectation_limit",
-]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,41 @@ def test_sweep_claim_choice_is_validated(capsys, tmp_path):
     ])
     capsys.readouterr()
     assert rc == 2
+
+
+# N = 16384 is the smallest grid on which OpenBLAS (0.3.31) split a dot
+# product over its threads; below it a BLAS-backed reduction passes too.
+THREAD_RUNS = (
+    ("sweep", "--claim", "thm1", "--preset", "xexp", "--N", "16384", "--b", "1",
+     "--times", "0.5,1,2", "--eps", "0.2,0.1,0.05,0.025", "--out-dir", "."),
+    ("sweep", "--claim", "prop2", "--preset", "xexp", "--N", "16384", "--b", "1",
+     "--times", "0.25,0.5,1", "--eps", "0.1,0.05,0.025,0.0125,0.00625", "--out-dir", "."),
+    ("evolve", "--preset", "xexp", "--N", "16384", "--epsilon", "0.2", "--b", "1",
+     "--t", "1", "--engine", "both", "--out", "wave.csv"),
+)
+
+
+def _run_at_threads(tmp_path, threads):
+    """stdout of each THREAD_RUNS command and the bytes of every file they
+    wrote, all at one BLAS thread count."""
+    d = tmp_path / f"threads{threads}"
+    d.mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    stdout = []
+    for argv in THREAD_RUNS:
+        out = subprocess.run([sys.executable, "-m", "halfline.cli", *argv], cwd=d, env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        stdout.append(out.stdout)
+    return stdout, {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def test_reports_byte_stable_across_blas_threads(tmp_path):
+    (out1, files1), (out2, files2) = _run_at_threads(tmp_path, 1), _run_at_threads(tmp_path, 2)
+    assert sorted(files1) == ["prop2.csv", "prop2.json", "thm1.csv", "thm1.json", "wave.csv"]
+    differ = [argv[0:3] for argv, a, b in zip(THREAD_RUNS, out1, out2) if a != b]
+    differ += [name for name in files1 if files1[name] != files2.get(name)]
+    assert differ == []

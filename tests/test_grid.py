@@ -20,6 +20,7 @@ from halfline import (
     sample_at,
     shift_sample,
 )
+from halfline.grid import density, mass
 
 
 @pytest.mark.parametrize("L,N", [(40.0, 8), (10.0, 1024), (20.0, 64)])
@@ -230,3 +231,14 @@ def test_norm_matches_inner():
     g = make_grid(10.0, 64)
     u = _random_wave(g, 3)
     assert norm(u) == pytest.approx(math.sqrt(np.real(inner(u, u))), rel=1e-14)
+
+
+def test_reductions_match_reference_sums():
+    # The package sums without BLAS; the reference is numpy's BLAS dot,
+    # which sums in another order, hence the tolerance.
+    g = make_grid(10.0, 1024)
+    u, v = _random_wave(g, 5), _random_wave(g, 6)
+    np.testing.assert_allclose(density(u), np.abs(u.values) ** 2, rtol=1e-14)
+    assert mass(u) == pytest.approx(g.h * np.vdot(u.values, u.values).real, rel=1e-13)
+    assert norm(u) == math.sqrt(mass(u))
+    assert inner(u, v) == pytest.approx(g.h * np.vdot(u.values, v.values), rel=1e-13)
