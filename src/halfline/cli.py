@@ -1,8 +1,9 @@
 """Command line front end: evolve, limit, sweep.
 
 Options come from flags, from a flat JSON config file, or both; flags
-win.  Exit codes: 0 success, 2 invalid input or refused configuration,
-3 a sweep ran but its verdict failed, 1 internal error.
+win.  Exit codes: 0 success, 2 invalid input, refused configuration or
+a grid too large for memory, 3 a sweep ran but its verdict failed,
+1 internal error.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     if not merged["N"].is_integer():
         raise ValidationError(f"--N expects an integer, got {merged['N']!r}")
     merged["N"] = int(merged["N"])
+    args.N = merged["N"]  # what main names if the grid does not fit in memory
     for key in ("times", "eps"):
         if merged.get(key) is not None:
             merged[key] = _parse_floats(key, merged[key])
@@ -263,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: a grid of N={args.N} cells does not fit in memory", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

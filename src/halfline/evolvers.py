@@ -15,15 +15,25 @@ over a whole viscosity x time grid: the twiddle is built once per grid
 size, the gauge and forward transform once per viscosity, the time
 multiplier once per viscous time epsilon t, and one inverse transform
 runs per pair.
+
+The ladder is the one place the package runs a second thread: one
+worker, shared by every ladder in the process, computes the N-point
+complex exponentials (the multipliers, and each gauge after the first
+rung's) one job ahead of the caller.  The FFTs, the mixing, the
+un-gauge and every ``WaveFunction`` stay on the caller's thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -193,9 +203,124 @@ def _twiddle(n: int) -> np.ndarray:
     return tw
 
 
-def _free_flow(s: float, k2: np.ndarray) -> np.ndarray:
-    """The free-flow multiplier e^(-i s k^2) at viscous time s = epsilon t."""
-    return np.exp(-1j * s * k2)
+def _phase(c: complex, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = e^(c x), computed in out itself: the worker thread allocates
+    no N-point array, so none stays resident in its own malloc arena."""
+    np.multiply(c, x, out=out)
+    return np.exp(out, out=out)
+
+
+def _free_flow(s: float, k2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The free-flow multiplier e^(-i s k^2) at viscous time s = epsilon t, into out."""
+    return _phase(-1j * s, k2, out)
+
+
+class _Job:
+    """One call fn(*args) for the worker thread.  ``wait`` returns once it
+    has run, and re-raises whatever it raised."""
+
+    __slots__ = ("fn", "args", "error", "done")
+
+    def __init__(self, fn, args) -> None:
+        self.fn, self.args = fn, args
+        self.error: BaseException | None = None
+        self.done = threading.Event()
+
+    def run(self) -> None:
+        try:
+            self.fn(*self.args)
+        except BaseException as e:  # the worker lives on; the waiting caller re-raises it
+            self.error = e
+        finally:
+            self.done.set()
+
+    def wait(self) -> None:
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+
+
+# The exponential worker: one daemon thread serving one queue, started by
+# the first job in the process and shared by every ladder after it.
+_jobs: SimpleQueue | None = None
+_jobs_lock = threading.Lock()
+
+
+def _serve(jobs: SimpleQueue) -> None:
+    while True:
+        jobs.get().run()
+
+
+def _submit(fn, *args) -> _Job:
+    """Queue fn(*args) on the worker thread, starting it on first use."""
+    global _jobs
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="halfline-exp",
+                             daemon=True).start()
+        job = _Job(fn, args)
+        _jobs.put(job)
+    return job
+
+
+def _forget_worker() -> None:
+    """A forked child inherits the queue but not the thread: start afresh."""
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+class _Ahead:
+    """A walk's N-point exponentials, filled on the worker thread one job
+    ahead of the caller, in the order ``take`` hands them out.
+
+    A job (fn, *args) runs fn(*args, out) into an array that the
+    caller's thread allocates.  The first job starts at construction.
+    """
+
+    def __init__(self, jobs, n: int) -> None:
+        self._jobs = iter(jobs)
+        self._n = n
+        self._next = self._start()
+
+    def _start(self):
+        job = next(self._jobs, None)
+        if job is None:
+            return None
+        out = np.empty(self._n, dtype=np.complex128)
+        return out, _submit(*job, out)
+
+    def take(self) -> np.ndarray:
+        """The next job's array once filled; the job after it starts now."""
+        out, job = self._next
+        self._next = self._start()
+        job.wait()
+        return out
+
+    def close(self) -> None:
+        """Wait out the job in flight, so that none outlives the walk.
+
+        Not while the interpreter shuts down: a walk left open is closed
+        then, after the daemon worker has stopped for good, and waiting
+        would hang the exit.  The job keeps its array alive either way."""
+        if self._next is not None and not sys.is_finalizing():
+            self._next[1].done.wait()
+        self._next = None
+
+
+def _spectral_gates(phi: WaveFunction, eps, b: float, times) -> None:
+    """Every refusal of a spectral walk over eps x times: a bad parameter,
+    an unresolved rung, data that do not vanish at the wall."""
+    for t in times:
+        check_params(t=t)
+    for e in eps:
+        check_params(epsilon=e, b=b)
+        require_resolved(phi.grid, e, b, "spectral_evolve")
+    _require_pinned(phi, "spectral_evolve")
 
 
 def spectral_ladder(phi: WaveFunction, eps, b: float, times):
@@ -219,73 +344,96 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
     once per grid size; the gauge and the forward FFT once per epsilon;
     the multiplier once per viscous time s = epsilon t, held until the
     last pair with that s; one inverse FFT per pair.
+
+    One worker thread, started by the first ladder and shared by all,
+    fills the N-point exponentials one job ahead of the caller: every
+    multiplier in order of first use, and every rung's gauge after the
+    first.  The caller's thread computes the first gauge while the
+    worker computes the first multiplier.  The worker writes into arrays
+    that the caller's thread allocates and runs numpy alone; the FFTs,
+    the mix, the un-gauge and every ``WaveFunction`` stay on the
+    caller's thread, in a serial walk's order and with its operands, so
+    the bytes are those of a serial walk.
     """
     g = phi.grid
     n = g.N
     eps = tuple(eps)
     times = tuple(times)
-    for t in times:
-        check_params(t=t)
-    for e in eps:
-        check_params(epsilon=e, b=b)
-        require_resolved(g, e, b, "spectral_evolve")
-    _require_pinned(phi, "spectral_evolve")
+    _spectral_gates(phi, eps, b, times)
 
     twiddle = _twiddle(n)
     k2 = (np.arange(n, 0, -1) * (math.pi / g.L)) ** 2
-    uses = Counter(e * t for e in eps for t in times)
-    multipliers: dict[float, np.ndarray] = {}
-    for e in eps:
-        # The sign (-1)^j rides on the gauge; it is real, so the conjugate
-        # gauge undoes both.
-        gauge = np.exp(-0.5j * b / e * g.x)
-        gauge[1::2] *= -1.0
-        s = gauge * phi.values
-        w = np.fft.fft(np.concatenate((s[0::2], s[::-2])))
-        del s
-        w *= 0.5
-        np.conjugate(gauge, out=gauge)
+    # The worker's jobs in the order the walk takes them: each rung's gauge
+    # after the first, each viscous time's multiplier at its first pair.
+    jobs, uses = [], Counter()
+    for i, e in enumerate(eps):
+        if i:
+            jobs.append((_phase, -0.5j * b / e, g.x))
         for t in times:
-            st = e * t
-            m = multipliers.get(st)
-            if m is None:
-                m = multipliers[st] = _free_flow(st, k2)
-            uses[st] -= 1
-            if uses[st] == 0:
-                del multipliers[st]
-            m_neg = _at_minus_q(m)
-            even = m + m_neg
-            even *= w
-            np.subtract(m, m_neg, out=m_neg)
-            del m
-            w_neg = _at_minus_q(w)
-            # numpy's complex product is not bit-symmetric in its operands;
-            # twiddle first keeps reports byte-stable.
-            np.multiply(twiddle, w_neg, out=w_neg)
-            m_neg *= w_neg
-            del w_neg
-            even += m_neg
-            del m_neg
-            v = np.fft.ifft(even, out=even)
-            del even
-            u = np.empty(n, dtype=np.complex128)
-            u[0::2] = v[:n // 2]
-            u[::-2] = v[n // 2:]
-            del v
-            u *= gauge
-            u *= np.exp(0.25j * b * b * t / e)
-            out = WaveFunction(g, u)
-            del u
-            yield e, t, out
-            # Hold no state while the next is built: a caller that drops
-            # its copy frees the memory.
-            del out
+            if not uses[e * t]:
+                jobs.append((_free_flow, e * t, k2))
+            uses[e * t] += 1
+    ahead = _Ahead(jobs, n)
+    multipliers: dict[float, np.ndarray] = {}
+    try:
+        for i, e in enumerate(eps):
+            if i:
+                gauge = ahead.take()
+            else:
+                gauge = _phase(-0.5j * b / e, g.x, np.empty(n, dtype=np.complex128))
+            # The sign (-1)^j rides on the gauge; it is real, so the
+            # conjugate gauge undoes both.
+            gauge[1::2] *= -1.0
+            s = gauge * phi.values
+            w = np.fft.fft(np.concatenate((s[0::2], s[::-2])))
+            del s
+            w *= 0.5
+            np.conjugate(gauge, out=gauge)
+            for t in times:
+                st = e * t
+                m = multipliers.get(st)
+                if m is None:
+                    m = multipliers[st] = ahead.take()
+                uses[st] -= 1
+                if uses[st] == 0:
+                    del multipliers[st]
+                m_neg = _at_minus_q(m)
+                even = m + m_neg
+                even *= w
+                np.subtract(m, m_neg, out=m_neg)
+                del m
+                w_neg = _at_minus_q(w)
+                # numpy's complex product is not bit-symmetric in its
+                # operands; twiddle first keeps reports byte-stable.
+                np.multiply(twiddle, w_neg, out=w_neg)
+                m_neg *= w_neg
+                del w_neg
+                even += m_neg
+                del m_neg
+                v = np.fft.ifft(even, out=even)
+                del even
+                u = np.empty(n, dtype=np.complex128)
+                u[0::2] = v[:n // 2]
+                u[::-2] = v[n // 2:]
+                del v
+                u *= gauge
+                u *= np.exp(0.25j * b * b * t / e)
+                out = WaveFunction(g, u)
+                del u
+                yield e, t, out
+                # Hold no state while the next is built: a caller that
+                # drops its copy frees the memory.
+                del out
+    finally:
+        ahead.close()
 
 
 def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     """Evolve by gauge transform and sine transform: ``spectral_ladder``
-    at the one pair (p.epsilon, p.t).  t = 0 returns the data unchanged."""
+    at the one pair (p.epsilon, p.t).  t = 0 returns the data unchanged,
+    once they pass the ladder's gates."""
     if p.t == 0:
+        _spectral_gates(phi, (p.epsilon,), p.b, ())
         return WaveFunction(phi.grid, phi.values)
     ((_, _, u),) = spectral_ladder(phi, (p.epsilon,), p.b, (p.t,))
     return u

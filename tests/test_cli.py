@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import halfline.cli as cli
 from halfline.cli import main
 
 
@@ -112,6 +113,33 @@ def test_invalid_input_exits_2(capsys, tmp_path, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_evolve_at_t0_keeps_the_rung_gate(capsys):
+    rc, out, err = run_cli(capsys, "evolve", "--preset", "xexp", "--epsilon", "1e-9",
+                           "--b", "1", "--t", "0", "--N", "1024")
+    assert rc == 2
+    assert err.startswith("error:") and "points per wavelength" in err
+
+
+@pytest.mark.parametrize("command", [("evolve", "--epsilon", "0.1"), ("limit",)])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_grid_beyond_memory_exits_2(capsys, monkeypatch, tmp_path, command, from_config):
+    # Refused by a stand-in for the allocation: no test allocates the grid.
+    def no_memory(L, N):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_grid", no_memory)
+    n = 2 ** 40
+    if from_config:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"N": n}))
+        grid = ("--config", str(cfg))
+    else:
+        grid = ("--N", str(n))
+    rc, out, err = run_cli(capsys, *command, "--preset", "xexp", "--b", "1", "--t", "1", *grid)
+    assert rc == 2
+    assert err.startswith("error:") and f"N={n}" in err
 
 
 def test_argparse_errors_exit_2(capsys):

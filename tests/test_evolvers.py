@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -96,6 +98,15 @@ def test_spectral_t0_identity(small):
     g, phi = small
     out = spectral_evolve(phi, EvolutionParams(0.3, 1.0, 0.0))
     assert np.array_equal(out.values, phi.values)
+
+
+def test_spectral_t0_keeps_the_gates(small):
+    g, phi = small
+    with pytest.raises(ResolutionError):
+        spectral_evolve(phi, EvolutionParams(1e-9, 1.0, 0.0))
+    loose = WaveFunction(g, np.ones(g.N) / math.sqrt(g.L))
+    with pytest.raises(ValidationError, match="wall"):
+        spectral_evolve(loose, EvolutionParams(0.3, 1.0, 0.0))
 
 
 def test_spectral_unitary(small):
@@ -226,6 +237,115 @@ def test_spectral_ladder_refuses_bad_times(monkeypatch, small):
         with pytest.raises(ResolutionError):
             list(spectral_ladder(phi, (0.4, 0.2, 1e-6), b, LADDER_TIMES))
     assert ffts == {"fft": 0, "ifft": 0}
+
+
+def _inline(fn, *args):
+    """The worker's seam run on the caller's thread: the serial walk."""
+    job = evolvers._Job(fn, args)
+    job.run()
+    return job
+
+
+def _within(seconds, fn):
+    """fn() on a helper thread, failing the test if it has not returned
+    after ``seconds``; returns its result or raises its error."""
+    box = {}
+
+    def call():
+        try:
+            box["value"] = fn()
+        except BaseException as e:
+            box["error"] = e
+
+    th = threading.Thread(target=call, daemon=True)
+    th.start()
+    th.join(seconds)
+    assert not th.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0])
+def test_worker_bytes_equal_inline_walk(monkeypatch, small, b):
+    g, phi = small
+    threaded = [(e, t, u.values.tobytes())
+                for e, t, u in spectral_ladder(phi, LADDER_EPS, b, LADDER_TIMES)]
+    monkeypatch.setattr(evolvers, "_submit", _inline)
+    jobs = _count_calls(monkeypatch, evolvers, ("_submit",))
+    inline = [(e, t, u.values.tobytes())
+              for e, t, u in spectral_ladder(phi, LADDER_EPS, b, LADDER_TIMES)]
+    assert jobs == {"_submit": 7}  # 5 multipliers, the gauges of rungs 2 and 3
+    assert inline == threaded
+
+
+# _free_flow fails on the worker; _phase fails first in the caller's own
+# first gauge, with the first multiplier in flight.
+@pytest.mark.parametrize("name", ["_free_flow", "_phase"])
+def test_worker_error_reaches_caller(monkeypatch, small, name):
+    g, phi = small
+
+    def broken(*args):
+        raise FloatingPointError(f"{name} failed")
+
+    monkeypatch.setattr(evolvers, name, broken)
+    with pytest.raises(FloatingPointError, match=name):
+        _within(30, lambda: list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES)))
+    monkeypatch.undo()
+    # The worker survives the error and serves the next ladder.
+    assert len(_within(30, lambda: list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES)))) == 9
+
+
+def test_closed_ladder_leaves_no_job_running(monkeypatch, small):
+    g, phi = small
+    free_flow, submit = evolvers._free_flow, evolvers._submit
+    jobs = []
+
+    def slow(*args):
+        time.sleep(0.05)
+        return free_flow(*args)
+
+    def recorded(*args):
+        jobs.append(submit(*args))
+        return jobs[-1]
+
+    monkeypatch.setattr(evolvers, "_free_flow", slow)
+    monkeypatch.setattr(evolvers, "_submit", recorded)
+    walk = spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES)
+    next(walk)
+    walk.close()
+    assert len(jobs) == 2
+    assert all(job.done.is_set() for job in jobs)
+
+
+def test_ladders_share_one_worker(small):
+    g, phi = small
+    list(spectral_ladder(phi, (0.4,), 1.0, (0.5,)))
+    before = threading.active_count()
+    for _ in range(50):
+        list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
+    assert threading.active_count() == before
+    assert [th.name for th in threading.enumerate()].count("halfline-exp") == 1
+
+
+def test_caller_thread_builds_states_and_runs_ffts(monkeypatch, small):
+    g, phi = small
+    threads = {"WaveFunction": set(), "fft": set(), "ifft": set(), "_free_flow": set()}
+
+    def on_thread(name, fn):
+        def wrapper(*args, **kwargs):
+            threads[name].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(WaveFunction, "__init__", on_thread("WaveFunction", WaveFunction.__init__))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(evolvers.np.fft, name, on_thread(name, getattr(evolvers.np.fft, name)))
+    monkeypatch.setattr(evolvers, "_free_flow", on_thread("_free_flow", evolvers._free_flow))
+    list(spectral_ladder(phi, LADDER_EPS, -1.0, LADDER_TIMES))
+    caller = {threading.get_ident()}
+    assert threads["WaveFunction"] == threads["fft"] == threads["ifft"] == caller
+    assert threads["_free_flow"] and not threads["_free_flow"] & caller
 
 
 def test_twiddle_cached_read_only():

@@ -5,7 +5,9 @@ a rename or a move in the package would silently drop them from the
 per-layer report, so each pair is pinned here.  And `import halfline`
 stays free of scipy, whose import alone costs more than the package's
 whole set-up, and free of BLAS-backed reductions, whose summation order
-follows the BLAS thread count into the report bytes.
+follows the BLAS thread count into the report bytes.  It starts no
+thread; the spectral ladder's worker starts with the first ladder and
+holds neither the interpreter's exit nor a forked child.
 """
 
 import importlib
@@ -38,15 +40,77 @@ def test_traced_name_resolves(module, name):
     assert callable(getattr(mod, name, None))
 
 
-def test_import_leaves_scipy_out():
+def _python(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's
+    package; its stdout, or a failure if it errs or outlives 60 s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, halfline; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_out():
+    assert _python(
+        "import sys, halfline; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    ) == "[]"
+
+
+def test_import_starts_no_thread():
+    assert _python(
+        "import threading, halfline; print([t.name for t in threading.enumerate()])"
+    ) == "['MainThread']"
+
+
+_LADDER = """
+import halfline as H
+from halfline.evolvers import spectral_ladder
+g = H.make_grid(10.0, 1024)
+phi = H.get_preset('xexp', g)
+def walk():
+    return spectral_ladder(phi, (0.4, 0.2), 1.0, (0.5, 1.0))
+"""
+
+# A multiplier that takes half a second, defined in a namespace of its
+# own: one defined in __main__ would keep the whole script, open walks
+# included, alive past shutdown from the worker's frame.
+_SLOW = """
+import time
+def slow(*args):
+    time.sleep(0.5)
+    return free_flow(*args)
+"""
+
+
+def test_process_exits_after_ladders():
+    # One walk run out, and one left open at its first state with its
+    # next multiplier still on the worker when the interpreter exits, so
+    # that the open walk is closed during shutdown.
+    assert _python(_LADDER + f"""
+import halfline.evolvers as ev
+print(len(list(walk())))
+ns = {{'free_flow': ev._free_flow}}
+exec({_SLOW!r}, ns)
+ev._free_flow = ns['slow']
+w = walk()
+next(w)
+""") == "4"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_ladder():
+    # The child inherits the parent's job queue but not its worker thread.
+    assert _python(_LADDER + """
+import os, signal
+list(walk())
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if len(list(walk())) == 4 else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+""") == "0"
 
 
 def _matmul_lines(source):
