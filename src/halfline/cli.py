@@ -1,9 +1,9 @@
 """Command line front end: evolve, limit, sweep.
 
 Options come from flags, from a flat JSON config file, or both; flags
-win.  Exit codes: 0 success, 2 invalid input, refused configuration or
-a grid too large for memory, 3 a sweep ran but its verdict failed,
-1 internal error.
+win.  Exit codes: 0 success, 2 invalid input (an output path that
+cannot be written included), refused configuration or a grid too large
+for memory, 3 a sweep ran but its verdict failed, 1 internal error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,15 @@ def _print_result(pairs: list[tuple[str, object]], as_json: bool) -> None:
                 print(f"{k}={_fmt(float(v))}")
 
 
+@contextmanager
+def _writing(path):
+    """Refuse, as invalid input, an output path that cannot be written."""
+    try:
+        yield
+    except OSError as e:
+        raise ValidationError(f"cannot write {e.filename or path}: {e.strerror or e}") from e
+
+
 def _dump_wave(u: WaveFunction, path: str) -> None:
     lines = ["x,re,im"]
     for x, v in zip(u.grid.x, u.values):
@@ -167,7 +177,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             ("peak", float(np.max(np.abs(u.values)))),
         ]
     if opt.get("out"):
-        _dump_wave(u, opt["out"])
+        with _writing(opt["out"]):
+            _dump_wave(u, opt["out"])
         pairs.append(("out", str(opt["out"])))
     _print_result(pairs, args.json)
     return 0
@@ -205,10 +216,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     claim = opt["claim"]
     records, checks = run_claim(claim, cfg, g_name=opt.get("g") or "bump12")
     out_dir = Path(opt.get("out_dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{claim}.csv"
     json_path = out_dir / f"{claim}.json"
-    verdicts = emit_report(records, csv_path, json_path, checks)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        verdicts = emit_report(records, csv_path, json_path, checks)
     for c in verdicts["checks"]:
         print(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}")
     print(f"report={csv_path}")

@@ -314,12 +314,20 @@ class _Ahead:
 
 def _spectral_gates(phi: WaveFunction, eps, b: float, times) -> None:
     """Every refusal of a spectral walk over eps x times: a bad parameter,
-    an unresolved rung, data that do not vanish at the wall."""
+    an unresolved rung, a viscous time whose top-mode phase overflows,
+    data that do not vanish at the wall."""
     for t in times:
         check_params(t=t)
+    top = phi.grid.N * (math.pi / phi.grid.L)  # largest sine wavenumber
     for e in eps:
         check_params(epsilon=e, b=b)
         require_resolved(phi.grid, e, b, "spectral_evolve")
+        for t in times:
+            if not math.isfinite(e * t * top * top):
+                raise ValidationError(
+                    f"spectral_evolve at eps*t={e * t:.3e}: the phase eps*t*(N*pi/L)^2 "
+                    f"of the top sine mode overflows"
+                )
     _require_pinned(phi, "spectral_evolve")
 
 

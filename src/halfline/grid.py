@@ -188,7 +188,10 @@ def sample_at(u: WaveFunction, pos: np.ndarray) -> np.ndarray:
     interpolation.  On the half cells [0, x_0) and (x_{N-1}, L] the
     nearest segment is extended linearly, because zero-filling there
     would poison reflected data near the wall.  Outside [0, L] the
-    function is zero by convention.
+    function is zero by convention.  This is the general rule: each
+    position is located on its own.  Shifts and reflections of the
+    whole grid use the two-slice blend of ``shift_sample`` and
+    ``reflect_sample``, and come here only for their half-cell nodes.
     """
     g = u.grid
     pos = np.asarray(pos, dtype=np.float64)
@@ -200,9 +203,52 @@ def sample_at(u: WaveFunction, pos: np.ndarray) -> np.ndarray:
     return np.where(inside, out, 0.0 + 0.0j)
 
 
+def _slice_blend(u: WaveFunction, a: float, step: int) -> np.ndarray:
+    """u(a + step * x) at every node x, for step = +1 (shift) or -1 (reflection).
+
+    Position p has grid coordinate p/h - 1/2, so midpoint x_k sits at k
+    and node j at q0 + step * j, where q0 = a/h for a shift and a/h - 1
+    for a reflection.  With m = floor(q0), node j reads the segment
+    [x_k, x_(k+1)], k = m + step * j, at one fraction d = q0 - m shared
+    by every node: the nodes with k in [0, N-2] are one blend of two
+    slices, contiguous or reversed.  The at most two nodes with k = -1 or
+    k = N-1 may sit on a half cell or beyond an end of [0, L]; they go to
+    ``sample_at`` at a + step * x_j, so the inside test is the general
+    rule's.  Every other node lies beyond [0, L] and stays zero.
+    """
+    g = u.grid
+    n = g.N
+    q0 = a / g.h if step > 0 else a / g.h - 1.0
+    out = np.zeros(n, dtype=np.complex128)
+    # Past 4N every node is beyond [0, L]; this also catches q0 = inf.
+    if not abs(q0) < 4 * n:
+        return out
+    m = math.floor(q0)
+    d = q0 - m
+    lo, hi = sorted((-m * step, (n - 2 - m) * step))
+    lo, hi = max(lo, 0), min(hi, n - 1)
+    if lo <= hi:
+        k = min(m + step * lo, m + step * hi)
+        seg = u.values[k:k + hi - lo + 2][::step]
+        # Node lo + i is (1 - d) seg[i] + d seg[i + 1] for step = 1 and
+        # (1 - d) seg[i + 1] + d seg[i] for step = -1, written in place.
+        near, far = (seg[:-1], seg[1:]) if step > 0 else (seg[1:], seg[:-1])
+        blend = out[lo:hi + 1]
+        np.multiply(1.0 - d, near, out=blend)
+        blend += d * far
+    edge = [j for j in ((-1 - m) * step, (n - 1 - m) * step) if 0 <= j < n]
+    if edge:
+        j = np.array(edge)
+        out[j] = sample_at(u, a + step * g.x[j])
+    return out
+
+
 def shift_sample(u: WaveFunction, s: float) -> WaveFunction:
     """Sample x -> u(x + s), with zero inflow from beyond the domain.
 
+    The values are those of ``sample_at(u, x + s)`` up to roundoff in
+    the interpolation weight: node j reads grid coordinate j + s/h, so
+    every node shares one weight and the nodes are a two-slice blend.
     s = 0 reproduces u exactly, with no interpolation roundoff.
     """
     require_real("shift", s)
@@ -210,15 +256,21 @@ def shift_sample(u: WaveFunction, s: float) -> WaveFunction:
         raise ValidationError(f"shift must be finite, got {s!r}")
     if s == 0.0:
         return WaveFunction(u.grid, u.values)
-    return WaveFunction(u.grid, sample_at(u, u.grid.x + s))
+    return WaveFunction(u.grid, _slice_blend(u, s, 1))
 
 
 def reflect_sample(u: WaveFunction, c: float) -> WaveFunction:
-    """Sample x -> u(c - x), the mirror image of u about c/2."""
+    """Sample x -> u(c - x), the mirror image of u about c/2.
+
+    The values are those of ``sample_at(u, c - x)`` up to roundoff in
+    the interpolation weight: node j reads grid coordinate
+    (c/h - 1) - j, so every node shares one weight and the nodes are a
+    blend of two reversed slices.
+    """
     require_real("reflection offset", c)
     if not math.isfinite(c):
         raise ValidationError(f"reflection offset must be finite, got {c!r}")
-    return WaveFunction(u.grid, sample_at(u, c - u.grid.x))
+    return WaveFunction(u.grid, _slice_blend(u, c, -1))
 
 
 def indicator_project(u: WaveFunction, a: float, b: float) -> WaveFunction:

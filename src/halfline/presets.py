@@ -29,7 +29,9 @@ _SINE_RE = re.compile(r"^sine-mode-(\d+)$")
 
 
 def _xexp(x: np.ndarray) -> np.ndarray:
-    y = np.asarray(x, dtype=np.float64)
+    # exp(-y^2) is 0 in float64 once |y| > 27.3, so clipping y at 30 moves
+    # no value and keeps y^2 finite on any interval.
+    y = np.clip(np.asarray(x, dtype=np.float64), -30.0, 30.0)
     return XEXP_AMPLITUDE * y * np.exp(-y * y)
 
 

@@ -16,6 +16,15 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def _cli_process(argv, cwd=None, **env):
+    """Run the CLI in a child interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "halfline.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
 def parse_kv(out):
     pairs = {}
     for line in out.splitlines():
@@ -142,6 +151,44 @@ def test_grid_beyond_memory_exits_2(capsys, monkeypatch, tmp_path, command, from
     assert err.startswith("error:") and f"N={n}" in err
 
 
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    runs = (
+        (("evolve", "--preset", "xexp", *SMALL, "--epsilon", "0.3", "--b", "1", "--t", "0.5",
+          "--out", str(blocker / "wave.csv")), blocker / "wave.csv"),
+        (("sweep", "--claim", "thm1", "--preset", "xexp", *SMALL, "--b", "1",
+          "--times", "0.5", "--eps", "0.3", "--out-dir", str(blocker / "reports")),
+         blocker / "reports"),
+        (("sweep", "--claim", "thm1", "--preset", "xexp", *SMALL, "--b", "1",
+          "--times", "0.5", "--eps", "0.3", "--out-dir", str(blocker)), blocker),
+    )
+    for argv, path in runs:
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert err.startswith(f"error: cannot write {path}:")
+    assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (("evolve", "--preset", "xexp", "--epsilon", "1e308", "--b", "1", "--t", "1",
+          "--N", "1024"), "eps*t=1.000e+308"),
+        (("evolve", "--preset", "xexp", "--epsilon", "0.1", "--b", "1", "--t", "1",
+          "--L", "1e300"), "points per wavelength"),
+        (("limit", "--preset", "xexp", "--b", "1", "--t", "1", "--L", "1e300"),
+         "needs a unit vector"),
+    ],
+)
+def test_refusal_prints_only_its_error_line(argv, cause):
+    # In a child process, so that numpy warnings reach stderr as a user sees them.
+    run = _cli_process(argv)
+    assert run.returncode == 2 and run.stdout == ""
+    [line] = run.stderr.splitlines()
+    assert line.startswith("error:") and cause in line
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main(["evolve", "--engine", "warp"]) == 2
     assert main([]) == 2
@@ -244,14 +291,10 @@ def _run_at_threads(tmp_path, threads):
     wrote, all at one BLAS thread count."""
     d = tmp_path / f"threads{threads}"
     d.mkdir()
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-           "OMP_NUM_THREADS": str(threads),
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = {"OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
     stdout = []
     for argv in THREAD_RUNS:
-        out = subprocess.run([sys.executable, "-m", "halfline.cli", *argv], cwd=d, env=env,
-                             capture_output=True, text=True)
+        out = _cli_process(argv, cwd=d, **env)
         assert out.returncode == 0, out.stderr
         stdout.append(out.stdout)
     return stdout, {p.name: p.read_bytes() for p in sorted(d.iterdir())}

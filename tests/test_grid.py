@@ -20,6 +20,7 @@ from halfline import (
     sample_at,
     shift_sample,
 )
+import halfline.grid as grid_module
 from halfline.grid import density, mass
 
 
@@ -167,6 +168,81 @@ def test_sample_extrapolates_on_boundary_half_cells():
     u = WaveFunction(g, 2.0 * g.x + 1.0)
     pos = np.array([0.0, g.h / 4, g.h / 2, g.L - g.h / 4, g.L])
     np.testing.assert_allclose(sample_at(u, pos), 2.0 * pos + 1.0, rtol=1e-12)
+
+
+def _smooth_wave(g, seed):
+    # A few low sine modes with random complex weights.  The two-slice
+    # blend and sample_at round a node's grid coordinate differently, by
+    # up to about N * 2.2e-16 cells.  Neighbours of smooth data differ by
+    # O(h), so at any N the samples differ by roundoff of the peak; on
+    # white noise they can differ by N * 2.2e-16 of it.
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=6) + 1j * rng.normal(size=6)
+    k = np.arange(1, 7)[:, None]
+    return WaveFunction(g, c @ np.sin(k * np.pi * g.x / g.L))
+
+
+def _assert_general_rule(u, s):
+    """shift_sample(u, s) and reflect_sample(u, s) against sample_at."""
+    g = u.grid
+    peak = np.max(np.abs(u.values))
+    for got, want in ((shift_sample(u, s).values, sample_at(u, g.x + s)),
+                      (reflect_sample(u, s).values, sample_at(u, s - g.x))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * peak
+        assert np.array_equal(got == 0.0, want == 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.sampled_from([8, 1024]), seed=st.integers(0, 2 ** 31), frac=st.floats(-1.5, 2.5))
+def test_shift_and_reflect_follow_the_general_rule(N, seed, frac):
+    g = make_grid(10.0, N)
+    _assert_general_rule(_smooth_wave(g, seed), frac * g.L)
+
+
+@pytest.mark.parametrize("N", [8, 64])
+@pytest.mark.parametrize(
+    "offset",
+    [
+        lambda g: 3 * g.h, lambda g: -5 * g.h, lambda g: (g.N - 1) * g.h,
+        lambda g: -(g.N - 1) * g.h, lambda g: 2.5 * g.h, lambda g: -0.5 * g.h,
+        lambda g: (g.N - 0.5) * g.h, lambda g: g.L, lambda g: -g.L, lambda g: 2 * g.L,
+        # one node lands just past either end of [0, L]
+        lambda g: np.nextafter(g.L - g.h / 2, np.inf),
+        lambda g: np.nextafter(g.h / 2 - g.L, -np.inf),
+        lambda g: np.nextafter(g.h / 2, -np.inf),
+        lambda g: np.nextafter(2 * g.L - g.h / 2, np.inf),
+    ],
+)
+def test_shift_and_reflect_at_cell_and_domain_edges(N, offset):
+    g = make_grid(10.0, N)
+    _assert_general_rule(_random_wave(g, N), float(offset(g)))
+
+
+@pytest.mark.parametrize("s", [0.3, -0.3])
+def test_linear_profile_survives_shift_and_reflection_on_half_cells(s):
+    # Every node stays in [0, L] and one lands on a half cell: the upper
+    # one for s = 0.3 h, the lower one for s = -0.3 h.
+    g = make_grid(10.0, 64)
+    u = WaveFunction(g, 2.0 * g.x + 1.0)
+    for got, pos in ((shift_sample(u, s * g.h).values, g.x + s * g.h),
+                     (reflect_sample(u, g.L + s * g.h).values, g.L + s * g.h - g.x)):
+        assert np.sum((pos < g.x[0]) | (pos > g.x[-1])) == 1
+        np.testing.assert_allclose(got, 2.0 * pos + 1.0, rtol=1e-12)
+
+
+def test_shift_and_reflect_send_at_most_two_nodes_to_sample_at(monkeypatch):
+    g = make_grid(40.0, 2 ** 16)
+    u = _smooth_wave(g, 1)
+    sizes = []
+
+    def counted(v, pos):
+        sizes.append(np.size(pos))
+        return sample_at(v, pos)
+
+    monkeypatch.setattr(grid_module, "sample_at", counted)
+    shift_sample(u, 1.0 + 0.3 * g.h)
+    reflect_sample(u, g.L - 0.3 * g.h)
+    assert sizes and sum(sizes) <= 4 and max(sizes) <= 2
 
 
 @settings(max_examples=30, deadline=None)
