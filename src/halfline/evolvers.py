@@ -57,12 +57,10 @@ PPW_MIN = 8.0
 # the wall before evolution makes sense.
 BOUNDARY_GATE = 1e-3
 
-# Contract tolerances, used by tests and reports rather than enforced
-# per call: FFT route preserves the norm to machine precision, the
-# kernel route only to quadrature accuracy.
-UNITARITY_RTOL = 1e-10
+# The kernel route preserves the norm only to quadrature accuracy.  A sum
+# whose norm misses the data's by more than this relative amount has
+# spread beyond [0, L], and kernel_evolve refuses it.
 KERNEL_NORM_TOL = 1e-3
-GROUP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,38 +75,21 @@ class EvolutionParams:
         check_params(self.epsilon, self.b, self.t)
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
-    """How well a grid resolves the oscillation scale of one parameter set."""
-
-    h: float
-    wavelength: float
-    points_per_wavelength: float
-    ppw_min: float
-    admissible: bool
-
-
-def resolution_report(grid: Grid, epsilon: float, b: float) -> ResolutionReport:
-    """Report whether the grid resolves the phase e^(i b x / epsilon)."""
+def phase_resolution(grid: Grid, epsilon: float, b: float) -> tuple[float, float]:
+    """The wavelength of the phase e^(i b x / epsilon) and the grid's
+    points per wavelength; a grid resolves it at 2 PPW_MIN or more."""
     check_params(epsilon, b)
     lam = 2.0 * math.pi * epsilon / abs(b)
-    ppw = lam / grid.h
-    return ResolutionReport(
-        h=grid.h,
-        wavelength=lam,
-        points_per_wavelength=ppw,
-        ppw_min=PPW_MIN,
-        admissible=ppw >= 2.0 * PPW_MIN,
-    )
+    return lam, lam / grid.h
 
 
 def require_resolved(grid: Grid, epsilon: float, b: float, who: str) -> None:
     """Refuse (epsilon, b) on a grid that underresolves its phase."""
-    rep = resolution_report(grid, epsilon, b)
-    if not rep.admissible:
+    lam, ppw = phase_resolution(grid, epsilon, b)
+    if ppw < 2.0 * PPW_MIN:
         raise ResolutionError(
             f"{who} at epsilon={epsilon:g} needs {2 * PPW_MIN:.0f} points per "
-            f"wavelength {rep.wavelength:.3e}, grid provides {rep.points_per_wavelength:.2f}"
+            f"wavelength {lam:.3e}, grid provides {ppw:.2f}"
         )
 
 
@@ -159,9 +140,10 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     """Evolve by direct quadrature of the image-charge propagator.
 
     Refuses t = 0 (the kernel is singular there, the group is the
-    identity), b < 0 (the image form is specific to inflow), and any
-    grid that underresolves either the output phase or the chirp of
-    the kernel itself.
+    identity), b < 0 (the image form is specific to inflow), any grid
+    that underresolves either the output phase or the chirp of the
+    kernel itself, and a sum whose norm misses the data's by more than
+    KERNEL_NORM_TOL: the state has spread beyond [0, L].
 
     Parameters
     ----------
@@ -187,7 +169,14 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             f"{lam_chirp / PPW_MIN:.3e}, grid has h = {g.h:.3e}"
         )
     vals = _kernel_sum_fft(g.x, phi.values, p.epsilon, p.b, p.t, g.h)
-    return WaveFunction(g, vals)
+    u = WaveFunction(g, vals)
+    n0, n1 = norm(phi), norm(u)
+    if abs(n1 - n0) > KERNEL_NORM_TOL * n0:
+        raise ResolutionError(
+            f"kernel_evolve at eps*t={p.epsilon * p.t:.3e}: the sum has norm {n1:.3e} "
+            f"against the data's {n0:.3e}, so the state leaves [0, L]"
+        )
+    return u
 
 
 def _at_minus_q(v: np.ndarray) -> np.ndarray:
@@ -457,11 +446,11 @@ def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     oscillation is at stake.
     """
     g = phi.grid
-    rep = resolution_report(g, p.epsilon, p.b)
-    if not rep.admissible:
+    lam, ppw = phase_resolution(g, p.epsilon, p.b)
+    if ppw < 2.0 * PPW_MIN:
         warnings.warn(
-            f"asymptotic phase wavelength {rep.wavelength:.3e} underresolved "
-            f"({rep.points_per_wavelength:.2f} points per wavelength)",
+            f"asymptotic phase wavelength {lam:.3e} underresolved "
+            f"({ppw:.2f} points per wavelength)",
             ResolutionWarning,
             stacklevel=2,
         )

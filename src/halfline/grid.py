@@ -10,16 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError, require_real
-
-# Relative boundary trace below which sampled data counts as satisfying
-# the u(0) = 0 condition.  Closed-form inputs sit at machine zero; the
-# looser gates used by the evolution engines live in evolvers.py.
-BOUNDARY_TOL = 1e-8
 
 # Inputs required to be unit vectors may miss norm 1 by this much.
 UNIT_TOL = 1e-6
@@ -90,10 +84,6 @@ class WaveFunction:
     def __post_init__(self) -> None:
         self.values = _samples(self.grid, self.values)
 
-    @classmethod
-    def from_callable(cls, grid: Grid, f: Callable[[np.ndarray], np.ndarray]) -> "WaveFunction":
-        return cls(grid, np.asarray(f(grid.x), dtype=np.complex128))
-
 
 @dataclass
 class BoundedFunction:
@@ -120,18 +110,6 @@ class BoundedFunction:
             )
         self.values = v
         self.bound = float(self.bound)
-
-    @classmethod
-    def from_callable(
-        cls,
-        grid: Grid,
-        f: Callable[[np.ndarray], np.ndarray],
-        bound: float | None = None,
-    ) -> "BoundedFunction":
-        v = np.asarray(f(grid.x), dtype=np.complex128)
-        if bound is None:
-            bound = float(np.max(np.abs(v))) if v.size else 0.0
-        return cls(grid, v, bound)
 
 
 def _same_grid(u: WaveFunction, v: WaveFunction) -> Grid:
@@ -302,7 +280,3 @@ def boundary_defect(u: WaveFunction) -> float:
     if peak == 0.0:
         return 0.0
     return abs(boundary_value(u)) / peak
-
-
-def is_boundary_compatible(u: WaveFunction, tol: float = BOUNDARY_TOL) -> bool:
-    return boundary_defect(u) <= tol

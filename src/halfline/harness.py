@@ -139,17 +139,6 @@ def attach_ratios(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
     return out
 
 
-def _rungs(cfg: SweepConfig, phi: WaveFunction, eps=None, times=None):
-    """Walk a ladder epsilon-major, yielding (epsilon, t, u_eps(t)).
-
-    The one place a sweep evolves: one ``spectral_ladder`` over the whole
-    viscosity x time grid.  eps and times default to the configured
-    ladder and times.
-    """
-    return spectral_ladder(phi, cfg.eps if eps is None else eps, cfg.b,
-                           cfg.times if times is None else times)
-
-
 def _defect(u: WaveFunction, v: WaveFunction) -> WaveFunction:
     """The defect u - V(t) phi of a viscous state against pure transport."""
     return WaveFunction(u.grid, u.values - v.values)
@@ -171,7 +160,7 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
              for t in cfg.times}
     records = []
     worst = 0.0
-    for e, t, u in _rungs(cfg, phi):
+    for e, t, u in spectral_ladder(phi, cfg.eps, cfg.b, cfg.times):
         if t == cfg.times[0]:
             # The reflected wave's phase depends on the rung alone; exp in
             # place, so no second N-point buffer lives beside the ladder's.
@@ -203,7 +192,7 @@ def sweep_weak_decay(cfg: SweepConfig, g_name: str = "bump12") -> list[Convergen
     # V(t) phi depends on t alone, not on the rung.
     v = {t: limit_group_V(phi, cfg.b, t) for t in cfg.times}
     return [rec(t, e, f"weak[{g_name}]", abs(inner(g, _defect(u, v[t]))))
-            for e, t, u in _rungs(cfg, phi)]
+            for e, t, u in spectral_ladder(phi, cfg.eps, cfg.b, cfg.times)]
 
 
 def standard_observables(
@@ -260,7 +249,7 @@ def sweep_expectations(
             limits[(kind, t)] = lim
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     records = []
-    for e, t, u in _rungs(cfg, phi):
+    for e, t, u in spectral_ladder(phi, cfg.eps, cfg.b, cfg.times):
         for kind, a in obs_by_t[t].items():
             val = float(np.real(expectation(u, a)))
             records.append(rec(t, e, f"gap[{kind}]", abs(val - limits[(kind, t)])))
@@ -285,7 +274,7 @@ def sweep_prop2(cfg: SweepConfig, psi_name: str = "xexp") -> list[ConvergenceRec
     if cfg.b > 0:
         lost = {t: 1.0 - comp_state_evolve(phi, cfg.b, t).alpha for t in cfg.times}
     records = []
-    for e, t, u in _rungs(cfg, phi):
+    for e, t, u in spectral_ladder(phi, cfg.eps, cfg.b, cfg.times):
         diff = _defect(u, v[t])
         gap_sq = mass(diff)
         records.append(rec(t, e, "strong_gap", math.sqrt(gap_sq)))
@@ -318,8 +307,6 @@ def divergence_probe(cfg: SweepConfig, eps0: float | None = None) -> list[Conver
     if eps0 is None:
         eps0 = cfg.eps[0]
     ladder = tuple(eps0 * 0.5 ** j for j in range(PROBE_RUNGS))
-    for e in ladder:
-        require_resolved(grid, e, cfg.b, "probe rung")
     lost = 1.0 - comp_state_evolve(phi, cfg.b, t).alpha
     if lost < PROBE_MIN_ABSORBED:
         raise ValidationError(
@@ -328,7 +315,7 @@ def divergence_probe(cfg: SweepConfig, eps0: float | None = None) -> list[Conver
         )
 
     v = limit_group_V(phi, cfg.b, t)
-    states = [u for _, _, u in _rungs(cfg, phi, eps=ladder, times=(t,))]
+    states = [u for _, _, u in spectral_ladder(phi, ladder, cfg.b, (t,))]
     defects = [_defect(u, v) for u in states]
     gaps_sq = [mass(d) for d in defects]
 

@@ -11,21 +11,13 @@ from scipy.integrate import quad
 
 from halfline import (
     EvolutionParams,
-    REFERENCE_L,
-    REFERENCE_N,
     SweepConfig,
     WaveFunction,
-    attach_ratios,
-    boundary_defect,
-    claim_checks,
     comp_semigroup_check,
     comp_state_evolve,
     destruction_time,
-    divergence_probe,
     emit_report,
-    evaluate_checks,
     get_preset,
-    indicator_project,
     kernel_evolve,
     kraus_apply,
     make_grid,
@@ -34,10 +26,18 @@ from halfline import (
     reflect_W,
     run_claim,
     spectral_evolve,
+)
+from halfline.grid import boundary_defect, indicator_project
+from halfline.harness import (
+    attach_ratios,
+    claim_checks,
+    divergence_probe,
+    evaluate_checks,
     sweep_expectations,
     sweep_prop2,
     sweep_theorem1,
 )
+from halfline.presets import REFERENCE_L, REFERENCE_N
 
 CROSS_EPS = (0.2, 0.1, 0.05)
 

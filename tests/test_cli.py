@@ -176,9 +176,13 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         (("evolve", "--preset", "xexp", "--epsilon", "1e308", "--b", "1", "--t", "1",
           "--N", "1024"), "eps*t=1.000e+308"),
         (("evolve", "--preset", "xexp", "--epsilon", "0.1", "--b", "1", "--t", "1",
-          "--L", "1e300"), "points per wavelength"),
+          "--L", "1e300"), "grid norm 0.000e+00 on L=1e+300, N=65536"),
         (("limit", "--preset", "xexp", "--b", "1", "--t", "1", "--L", "1e300"),
-         "needs a unit vector"),
+         "grid norm 0.000e+00 on L=1e+300, N=65536"),
+        (("evolve", "--preset", "xexp", "--epsilon", "1e200", "--b", "1", "--t", "1",
+          "--N", "1024", "--engine", "kernel"), "kernel_evolve at eps*t=1.000e+200"),
+        (("evolve", "--preset", "xexp", "--epsilon", "50", "--b", "1", "--t", "1",
+          "--N", "1024", "--engine", "both"), "kernel_evolve at eps*t=5.000e+01"),
     ],
 )
 def test_refusal_prints_only_its_error_line(argv, cause):

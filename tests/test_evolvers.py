@@ -9,27 +9,31 @@ import scipy.fft
 import halfline.evolvers as evolvers
 from halfline import (
     EvolutionParams,
-    GROUP_TOL,
-    KERNEL_NORM_TOL,
     ResolutionError,
     ResolutionWarning,
-    SweepConfig,
-    UNITARITY_RTOL,
     ValidationError,
     WaveFunction,
     asymptotic_evolve,
     get_preset,
     kernel_evolve,
-    limit_group_V,
     make_grid,
     norm,
-    remainder_norm,
-    resolution_report,
-    shift_sample,
     spectral_evolve,
 )
-from halfline.evolvers import _kernel_sum_fft, spectral_ladder
-from halfline.harness import _rungs
+from halfline.evolvers import (
+    KERNEL_NORM_TOL,
+    PPW_MIN,
+    _kernel_sum_fft,
+    limit_group_V,
+    phase_resolution,
+    remainder_norm,
+    spectral_ladder,
+)
+from halfline.grid import shift_sample
+
+# The spectral route keeps the norm and the group law to roundoff.
+UNITARITY_RTOL = 1e-10
+GROUP_TOL = 1e-9
 
 
 def _kernel_sum_direct(x, phi, eps, b, t, h):
@@ -79,12 +83,12 @@ def test_params_refuse_non_real(field, bad):
 
 def test_resolution_report_admissibility():
     g = make_grid(40.0, 2 ** 16)
-    rep = resolution_report(g, 0.05, 1.0)
-    assert rep.wavelength == pytest.approx(2.0 * math.pi * 0.05)
-    assert rep.admissible
-    assert rep.points_per_wavelength > 500
-    coarse = resolution_report(make_grid(40.0, 2 ** 14), 1e-6, 1.0)
-    assert not coarse.admissible
+    lam, ppw = phase_resolution(g, 0.05, 1.0)
+    assert lam == pytest.approx(2.0 * math.pi * 0.05)
+    assert ppw >= 2 * PPW_MIN
+    assert ppw > 500
+    _, coarse = phase_resolution(make_grid(40.0, 2 ** 14), 1e-6, 1.0)
+    assert coarse < 2 * PPW_MIN
 
 
 def test_spectral_refuses_underresolved():
@@ -214,13 +218,11 @@ def _count_calls(monkeypatch, owner, names):
     return calls
 
 
-def test_rungs_run_one_forward_fft_per_rung(monkeypatch):
-    cfg = SweepConfig(preset="xexp", L=10.0, N=2 ** 10, b=1.0,
-                      times=LADDER_TIMES, eps=LADDER_EPS)
-    phi = get_preset("xexp", make_grid(cfg.L, cfg.N))
+def test_rungs_run_one_forward_fft_per_rung(monkeypatch, small):
+    g, phi = small
     ffts = _count_calls(monkeypatch, evolvers.np.fft, ("fft", "ifft"))
     multipliers = _count_calls(monkeypatch, evolvers, ("_free_flow",))
-    states = list(_rungs(cfg, phi))
+    states = list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
     assert len(states) == 9
     assert ffts == {"fft": 3, "ifft": 9}
     assert multipliers == {"_free_flow": 5}
@@ -425,7 +427,7 @@ def test_kernel_chirp_gate(small):
     # kernel chirp is not; only the kernel route must refuse.
     g, phi = small
     p = EvolutionParams(0.03, 1.0, 0.05)
-    assert resolution_report(g, p.epsilon, p.b).admissible
+    assert phase_resolution(g, p.epsilon, p.b)[1] >= 2 * PPW_MIN
     with pytest.raises(ResolutionError):
         kernel_evolve(phi, p)
     spectral_evolve(phi, p)

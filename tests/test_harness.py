@@ -4,26 +4,29 @@ import numpy as np
 import pytest
 
 from halfline import (
-    CLAIMS,
-    Check,
-    ConvergenceRecord,
     ResolutionError,
     SweepConfig,
     ValidationError,
+    emit_report,
+    make_grid,
+    run_claim,
+)
+from halfline.harness import (
+    CLAIMS,
+    CSV_HEADER,
+    Check,
+    ConvergenceRecord,
+    PROBE_RUNGS,
     attach_ratios,
     claim_checks,
     divergence_probe,
-    emit_report,
     evaluate_checks,
-    run_claim,
     standard_observables,
     sweep_expectations,
     sweep_prop2,
     sweep_theorem1,
     sweep_weak_decay,
-    make_grid,
 )
-from halfline.harness import CSV_HEADER, PROBE_RUNGS
 
 
 def test_sweep_config_validation():

@@ -5,23 +5,25 @@ import pytest
 from scipy.integrate import quad
 
 from halfline import (
-    BoundedFunction,
     ValidationError,
     WaveFunction,
     comp_semigroup_check,
     comp_state_evolve,
     destruction_time,
     get_preset,
-    indicator_project,
     kraus_apply,
     make_grid,
-    mult_expectation_limit,
     norm,
     reflect_W,
-    shift_V,
     wold_projectors,
 )
-from halfline.limit_dynamics import ALPHA_FLOOR, MASS_FLOOR
+from halfline.grid import BoundedFunction, indicator_project
+from halfline.limit_dynamics import (
+    ALPHA_FLOOR,
+    MASS_FLOOR,
+    mult_expectation_limit,
+    shift_V,
+)
 from halfline.presets import preset_function
 
 

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from halfline import (
-    BoundedFunction,
-    FiniteRankObservable,
-    MultiplicationObservable,
     ValidationError,
     WaveFunction,
-    comp_expectation_limit,
     comp_state_evolve,
-    expectation,
     get_preset,
-    indicator_project,
-    inner,
     make_grid,
     norm,
+)
+from halfline.grid import BoundedFunction, indicator_project, inner
+from halfline.observables import (
+    FiniteRankObservable,
+    MultiplicationObservable,
+    comp_expectation_limit,
+    expectation,
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from halfline import ValidationError, make_grid, norm
+from halfline import ResolutionError, ValidationError, make_grid, norm
 from halfline.presets import (
     PRESET_NAMES,
     REFERENCE_L,
@@ -77,3 +77,11 @@ def test_presets_vanish_at_wall():
     for name in ("xexp", "bump12", "bump23", "sine-mode-3"):
         f = preset_function(name, L=10.0)
         assert abs(float(f(np.float64(0.0)))) == 0.0
+
+
+@pytest.mark.parametrize("name", ["xexp", "bump12", "bump23"])
+def test_preset_refused_where_its_grid_norm_misses_one(name):
+    # On cells 5 wide the samples miss the profile: norms 0.027, 0, 3.16.
+    grid = make_grid(40.0, 8)
+    with pytest.raises(ResolutionError, match="on L=40, N=8: the grid does not resolve"):
+        get_preset(name, grid)

@@ -2,7 +2,8 @@
 
 `bench/tracer.py` names, per halfline module, the callables it rebinds;
 a rename or a move in the package would silently drop them from the
-per-layer report, so each pair is pinned here.  And `import halfline`
+per-layer report, so each pair is pinned here, as is every name the
+benchmark reads from the package's top level.  And `import halfline`
 stays free of scipy, whose import alone costs more than the package's
 whole set-up, and free of BLAS-backed reductions, whose summation order
 follows the BLAS thread count into the report bytes.  It starts no
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACER = _BENCH / "tracer.py"
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "halfline"
 _BLAS_CALL = re.compile(r"\bnp\.(vdot|dot|vecdot|matmul|inner|tensordot|linalg)\b")
 
@@ -38,6 +40,16 @@ def _layers():
 def test_traced_name_resolves(module, name):
     mod = importlib.import_module(f"halfline.{module}")
     assert callable(getattr(mod, name, None))
+
+
+def test_bench_names_resolve_at_top_level():
+    # The benchmark imports the package as H and reads H.<name>.
+    import halfline
+
+    names = {name for path in _BENCH.glob("*.py")
+             for name in re.findall(r"\bH\.(\w+)", path.read_text(encoding="utf-8"))}
+    assert names
+    assert sorted(n for n in names if not hasattr(halfline, n)) == []
 
 
 def _python(code: str) -> str:
