@@ -18,9 +18,9 @@ runs per pair.
 
 The ladder is the one place the package runs a second thread: one
 worker, shared by every ladder in the process, computes the N-point
-complex exponentials (the multipliers, and each gauge after the first
-rung's) one job ahead of the caller.  The FFTs, the mixing, the
-un-gauge and every ``WaveFunction`` stay on the caller's thread.
+free-flow multipliers one job ahead of the caller.  The gauges (each a
+``plane_wave``, two short tables), the FFTs, the mixing, the un-gauge
+and every ``WaveFunction`` stay on the caller's thread.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .grid import (
     WaveFunction,
     boundary_defect,
     norm,
+    plane_wave,
     reflect_sample,
     shift_sample,
 )
@@ -115,7 +116,7 @@ def _toeplitz_apply(col, v):
     return np.fft.ifft(np.fft.fft(c) * np.fft.fft(v, 2 * n))[:n]
 
 
-def _kernel_sum_fft(x, phi, eps, b, t, h):
+def _kernel_sum_fft(g: Grid, phi, eps, b, t):
     """Midpoint quadrature of the image-charge propagator in O(N log N).
 
     On uniform nodes the direct phase a (x_i - x_j + b t)^2 depends only
@@ -125,7 +126,7 @@ def _kernel_sum_fft(x, phi, eps, b, t, h):
     FFT roundoff, so this is the same sum as evaluating every phase
     literally.
     """
-    n = x.shape[0]
+    n, h = g.N, g.h
     a = 1.0 / (4.0 * eps * t)
     pref = np.exp(-0.25j * np.pi) / math.sqrt(4.0 * math.pi * eps * t) * h
     # Offsets (i - j) h.  With the data reversed, j -> n - 1 - j, the
@@ -133,7 +134,7 @@ def _kernel_sum_fft(x, phi, eps, b, t, h):
     d = np.arange(1 - n, n) * h
     direct = _toeplitz_apply(np.exp(1j * a * (d + b * t) ** 2), phi)
     image = _toeplitz_apply(np.exp(1j * a * (d + n * h - b * t) ** 2), phi[::-1])
-    return pref * (direct - np.exp(1j * b / eps * x) * image)
+    return pref * (direct - plane_wave(g, b / eps, np.empty(n, dtype=np.complex128)) * image)
 
 
 def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
@@ -168,7 +169,7 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             f"kernel chirp wavelength {lam_chirp:.3e} needs h <= "
             f"{lam_chirp / PPW_MIN:.3e}, grid has h = {g.h:.3e}"
         )
-    vals = _kernel_sum_fft(g.x, phi.values, p.epsilon, p.b, p.t, g.h)
+    vals = _kernel_sum_fft(g, phi.values, p.epsilon, p.b, p.t)
     u = WaveFunction(g, vals)
     n0, n1 = norm(phi), norm(u)
     if abs(n1 - n0) > KERNEL_NORM_TOL * n0:
@@ -192,16 +193,12 @@ def _twiddle(n: int) -> np.ndarray:
     return tw
 
 
-def _phase(c: complex, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = e^(c x), computed in out itself: the worker thread allocates
-    no N-point array, so none stays resident in its own malloc arena."""
-    np.multiply(c, x, out=out)
-    return np.exp(out, out=out)
-
-
 def _free_flow(s: float, k2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The free-flow multiplier e^(-i s k^2) at viscous time s = epsilon t, into out."""
-    return _phase(-1j * s, k2, out)
+    """The free-flow multiplier e^(-i s k^2) at viscous time s = epsilon t,
+    computed in out itself: the worker thread allocates no N-point array,
+    so none stays resident in its own malloc arena."""
+    np.multiply(-1j * s, k2, out=out)
+    return np.exp(out, out=out)
 
 
 class _Job:
@@ -301,25 +298,6 @@ class _Ahead:
         self._next = None
 
 
-def _spectral_gates(phi: WaveFunction, eps, b: float, times) -> None:
-    """Every refusal of a spectral walk over eps x times: a bad parameter,
-    an unresolved rung, a viscous time whose top-mode phase overflows,
-    data that do not vanish at the wall."""
-    for t in times:
-        check_params(t=t)
-    top = phi.grid.N * (math.pi / phi.grid.L)  # largest sine wavenumber
-    for e in eps:
-        check_params(epsilon=e, b=b)
-        require_resolved(phi.grid, e, b, "spectral_evolve")
-        for t in times:
-            if not math.isfinite(e * t * top * top):
-                raise ValidationError(
-                    f"spectral_evolve at eps*t={e * t:.3e}: the phase eps*t*(N*pi/L)^2 "
-                    f"of the top sine mode overflows"
-                )
-    _require_pinned(phi, "spectral_evolve")
-
-
 def spectral_ladder(phi: WaveFunction, eps, b: float, times):
     """Evolve to every (epsilon, t) of a viscosity x time grid, yielding
     (epsilon, t, u) epsilon-major.
@@ -342,30 +320,46 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
     the multiplier once per viscous time s = epsilon t, held until the
     last pair with that s; one inverse FFT per pair.
 
-    One worker thread, started by the first ladder and shared by all,
-    fills the N-point exponentials one job ahead of the caller: every
-    multiplier in order of first use, and every rung's gauge after the
-    first.  The caller's thread computes the first gauge while the
-    worker computes the first multiplier.  The worker writes into arrays
-    that the caller's thread allocates and runs numpy alone; the FFTs,
-    the mix, the un-gauge and every ``WaveFunction`` stay on the
+    One worker thread, started by the first walk and shared by all,
+    fills the multipliers one job ahead of the caller, in order of first
+    use.  The gauge is a ``plane_wave``, cheaper than a round trip to the
+    worker, so the caller's thread computes it.  The worker writes into
+    arrays that the caller's thread allocates and runs numpy alone; the
+    FFTs, the mix, the un-gauge and every ``WaveFunction`` stay on the
     caller's thread, in a serial walk's order and with its operands, so
     the bytes are those of a serial walk.
+
+    Every refusal comes at the call, before the walk is iterated: a bad
+    parameter, an unresolved rung, a viscous time whose top-mode phase
+    overflows, data that do not vanish at the wall.
     """
+    eps, times = tuple(eps), tuple(times)
+    for t in times:
+        check_params(t=t)
+    top = phi.grid.N * (math.pi / phi.grid.L)  # largest sine wavenumber
+    for e in eps:
+        check_params(epsilon=e, b=b)
+        require_resolved(phi.grid, e, b, "spectral_evolve")
+        for t in times:
+            if not math.isfinite(e * t * top * top):
+                raise ValidationError(
+                    f"spectral_evolve at eps*t={e * t:.3e}: the phase eps*t*(N*pi/L)^2 "
+                    f"of the top sine mode overflows"
+                )
+    _require_pinned(phi, "spectral_evolve")
+    return _walk(phi, eps, b, times)
+
+
+def _walk(phi: WaveFunction, eps: tuple, b: float, times: tuple):
+    """The generator behind ``spectral_ladder``, on gated arguments."""
     g = phi.grid
     n = g.N
-    eps = tuple(eps)
-    times = tuple(times)
-    _spectral_gates(phi, eps, b, times)
-
     twiddle = _twiddle(n)
     k2 = (np.arange(n, 0, -1) * (math.pi / g.L)) ** 2
-    # The worker's jobs in the order the walk takes them: each rung's gauge
-    # after the first, each viscous time's multiplier at its first pair.
+    # The worker's jobs in the order the walk takes them: each viscous
+    # time's multiplier at its first pair.
     jobs, uses = [], Counter()
-    for i, e in enumerate(eps):
-        if i:
-            jobs.append((_phase, -0.5j * b / e, g.x))
+    for e in eps:
         for t in times:
             if not uses[e * t]:
                 jobs.append((_free_flow, e * t, k2))
@@ -373,11 +367,8 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
     ahead = _Ahead(jobs, n)
     multipliers: dict[float, np.ndarray] = {}
     try:
-        for i, e in enumerate(eps):
-            if i:
-                gauge = ahead.take()
-            else:
-                gauge = _phase(-0.5j * b / e, g.x, np.empty(n, dtype=np.complex128))
+        for e in eps:
+            gauge = plane_wave(g, -0.5 * b / e, np.empty(n, dtype=np.complex128))
             # The sign (-1)^j rides on the gauge; it is real, so the
             # conjugate gauge undoes both.
             gauge[1::2] *= -1.0
@@ -430,7 +421,7 @@ def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     at the one pair (p.epsilon, p.t).  t = 0 returns the data unchanged,
     once they pass the ladder's gates."""
     if p.t == 0:
-        _spectral_gates(phi, (p.epsilon,), p.b, ())
+        spectral_ladder(phi, (p.epsilon,), p.b, ())
         return WaveFunction(phi.grid, phi.values)
     ((_, _, u),) = spectral_ladder(phi, (p.epsilon,), p.b, (p.t,))
     return u
@@ -443,9 +434,15 @@ def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     on [0, b t]; for b < 0 it vanishes identically and the transport
     alone remains.  Underresolved grids get a warning, not a refusal,
     because the formula itself is grid-exact and only its pointwise
-    oscillation is at stake.
+    oscillation is at stake.  A b / epsilon too large for the phase to
+    be computed at all is refused, before any warning.
     """
     g = phi.grid
+    moved = shift_sample(phi, p.b * p.t)
+    mirrored = reflect_sample(phi, p.b * p.t)
+    # The phase array comes after both samples: allocated before them, it
+    # left the heap one N-point block larger at later sweeps' peak RSS.
+    d = plane_wave(g, p.b / p.epsilon, np.empty(g.N, dtype=np.complex128))
     lam, ppw = phase_resolution(g, p.epsilon, p.b)
     if ppw < 2.0 * PPW_MIN:
         warnings.warn(
@@ -454,9 +451,11 @@ def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             ResolutionWarning,
             stacklevel=2,
         )
-    moved = shift_sample(phi, p.b * p.t)
-    mirrored = reflect_sample(phi, p.b * p.t)
-    return WaveFunction(g, moved.values - np.exp(1j * p.b / p.epsilon * g.x) * mirrored.values)
+    # moved - phase * mirrored in place, phase first: numpy's complex
+    # product is not bit-symmetric in its operands.
+    d *= mirrored.values
+    np.subtract(moved.values, d, out=d)
+    return WaveFunction(g, d)
 
 
 def remainder_norm(phi: WaveFunction, p: EvolutionParams) -> float:

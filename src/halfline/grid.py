@@ -63,6 +63,25 @@ def make_grid(L: float, N: int) -> Grid:
     return Grid(L=L, N=N)
 
 
+def plane_wave(g: Grid, k: float, out: np.ndarray) -> np.ndarray:
+    """e^(i k x_j) at every node, written into the contiguous array out.
+
+    With j = B p + r the phase factors exactly as e^(i k h B p) e^(i k x_r),
+    so the N values are one broadcast product of two tables of about
+    sqrt(N) exponentials, B = 2^floor(bit_length(N) / 2) and P = N / B of
+    them.  Each table's argument is rounded twice, as is that of
+    np.exp(1j * k * x), so the two differ by at most about 4u |k| L plus
+    a few ulp (u the unit roundoff).
+    """
+    if not math.isfinite(k * g.L):
+        raise ValidationError(f"plane wave e^(i k x) needs a finite k*L, got k={k!r} on L={g.L:g}")
+    block = 1 << (g.N.bit_length() // 2)
+    inner = np.exp(1j * k * g.x[:block])
+    outer = np.exp(1j * (k * block * g.h) * np.arange(g.N // block))
+    np.multiply(outer[:, None], inner[None, :], out=out.reshape(-1, block))
+    return out
+
+
 def _samples(grid: Grid, values) -> np.ndarray:
     """A private complex copy of values, checked to be N finite samples."""
     v = np.asarray(values, dtype=np.complex128)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, check_params
-from .evolvers import limit_group_V, require_resolved, spectral_ladder
+from .evolvers import limit_group_V, spectral_ladder
 from .grid import (
     BoundedFunction,
     Grid,
@@ -27,6 +27,7 @@ from .grid import (
     make_grid,
     mass,
     norm,
+    plane_wave,
     reflect_sample,
     shift_sample,
 )
@@ -116,14 +117,15 @@ def require_inside(phi: WaveFunction, b: float, horizon: float) -> None:
         )
 
 
-def _prepare(cfg: SweepConfig) -> tuple[Grid, WaveFunction]:
-    """Build the grid and preset, refusing configurations the grid cannot carry."""
+def _prepare(cfg: SweepConfig):
+    """Build the grid, the preset and the walk over cfg.eps x cfg.times,
+    refusing configurations the grid cannot carry.  The walk's gates,
+    one per rung, run here, before the far-wall check and any work."""
     grid = make_grid(cfg.L, cfg.N)
     phi = get_preset(cfg.preset, grid)
-    for e in cfg.eps:
-        require_resolved(grid, e, cfg.b, "ladder rung")
+    walk = spectral_ladder(phi, cfg.eps, cfg.b, cfg.times)
     require_inside(phi, cfg.b, max(cfg.times))
-    return grid, phi
+    return grid, phi, walk
 
 
 def attach_ratios(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
@@ -152,7 +154,7 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
     configured time in their t column so every metric keeps a single
     ratio chain.
     """
-    grid, phi = _prepare(cfg)
+    grid, phi, walk = _prepare(cfg)
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     t_sup = max(cfg.times)
     # The transported and reflected parts depend on t alone, not on the rung.
@@ -160,12 +162,10 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
              for t in cfg.times}
     records = []
     worst = 0.0
-    for e, t, u in spectral_ladder(phi, cfg.eps, cfg.b, cfg.times):
+    for e, t, u in walk:
         if t == cfg.times[0]:
-            # The reflected wave's phase depends on the rung alone; exp in
-            # place, so no second N-point buffer lives beside the ladder's.
-            phase = 1j * cfg.b / e * grid.x
-            np.exp(phase, out=phase)
+            # The reflected wave's phase depends on the rung alone.
+            phase = plane_wave(grid, cfg.b / e, np.empty(grid.N, dtype=np.complex128))
         moved, mirrored = parts[t]
         d = phase * mirrored.values
         np.subtract(moved.values, d, out=d)
@@ -186,13 +186,13 @@ def sweep_weak_decay(cfg: SweepConfig, g_name: str = "bump12") -> list[Convergen
     Measures |<g, u_eps(t) - V(t) phi>|, which must vanish even though
     the strong distance stalls for b > 0.
     """
-    grid, phi = _prepare(cfg)
+    grid, phi, walk = _prepare(cfg)
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     g = get_preset(g_name, grid)
     # V(t) phi depends on t alone, not on the rung.
     v = {t: limit_group_V(phi, cfg.b, t) for t in cfg.times}
     return [rec(t, e, f"weak[{g_name}]", abs(inner(g, _defect(u, v[t]))))
-            for e, t, u in spectral_ladder(phi, cfg.eps, cfg.b, cfg.times)]
+            for e, t, u in walk]
 
 
 def standard_observables(
@@ -234,7 +234,7 @@ def sweep_expectations(
     """
     if cfg.b <= 0:
         raise ValidationError("expectation sweeps run in the inflow regime b > 0")
-    grid, phi = _prepare(cfg)
+    grid, phi, walk = _prepare(cfg)
     # the indicator band tracks the transported front, so one set per time
     obs_by_t = {
         t: standard_observables(grid, kinds, cut=cfg.b * t) for t in cfg.times
@@ -249,7 +249,7 @@ def sweep_expectations(
             limits[(kind, t)] = lim
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     records = []
-    for e, t, u in spectral_ladder(phi, cfg.eps, cfg.b, cfg.times):
+    for e, t, u in walk:
         for kind, a in obs_by_t[t].items():
             val = float(np.real(expectation(u, a)))
             records.append(rec(t, e, f"gap[{kind}]", abs(val - limits[(kind, t)])))
@@ -265,7 +265,7 @@ def sweep_prop2(cfg: SweepConfig, psi_name: str = "xexp") -> list[ConvergenceRec
     stall defect |residual^2 - (1 - alpha)|, which exposes exactly
     where the strong limit fails.
     """
-    grid, phi = _prepare(cfg)
+    grid, phi, walk = _prepare(cfg)
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     psi = get_preset(psi_name, grid)
     # V(t) phi and the absorbed mass depend on t alone, not on the rung.
@@ -274,7 +274,7 @@ def sweep_prop2(cfg: SweepConfig, psi_name: str = "xexp") -> list[ConvergenceRec
     if cfg.b > 0:
         lost = {t: 1.0 - comp_state_evolve(phi, cfg.b, t).alpha for t in cfg.times}
     records = []
-    for e, t, u in spectral_ladder(phi, cfg.eps, cfg.b, cfg.times):
+    for e, t, u in walk:
         diff = _defect(u, v[t])
         gap_sq = mass(diff)
         records.append(rec(t, e, "strong_gap", math.sqrt(gap_sq)))
@@ -302,7 +302,9 @@ def divergence_probe(cfg: SweepConfig, eps0: float | None = None) -> list[Conver
     """
     if cfg.b <= 0:
         raise ValidationError("the divergence probe runs in the inflow regime b > 0")
-    grid, phi = _prepare(cfg)
+    # The walk over cfg.eps goes unused: building it refuses an unresolved
+    # rung there, as for every other claim, before the probe's own ladder.
+    grid, phi, _ = _prepare(cfg)
     t = max(cfg.times)
     if eps0 is None:
         eps0 = cfg.eps[0]

@@ -183,6 +183,9 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
           "--N", "1024", "--engine", "kernel"), "kernel_evolve at eps*t=1.000e+200"),
         (("evolve", "--preset", "xexp", "--epsilon", "50", "--b", "1", "--t", "1",
           "--N", "1024", "--engine", "both"), "kernel_evolve at eps*t=5.000e+01"),
+        # b / eps overflows: refused before the underresolution warning.
+        (("evolve", "--preset", "xexp", "--epsilon", "1e-320", "--b", "1", "--t", "1",
+          "--engine", "asymptotic"), "k=inf"),
     ],
 )
 def test_refusal_prints_only_its_error_line(argv, cause):

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from halfline.evolvers import (
     spectral_ladder,
 )
 from halfline.grid import shift_sample
+from halfline.harness import SweepConfig, sweep_theorem1
 
 # The spectral route keeps the norm and the group law to roundoff.
 UNITARITY_RTOL = 1e-10
@@ -277,13 +279,13 @@ def test_worker_bytes_equal_inline_walk(monkeypatch, small, b):
     jobs = _count_calls(monkeypatch, evolvers, ("_submit",))
     inline = [(e, t, u.values.tobytes())
               for e, t, u in spectral_ladder(phi, LADDER_EPS, b, LADDER_TIMES)]
-    assert jobs == {"_submit": 7}  # 5 multipliers, the gauges of rungs 2 and 3
+    assert jobs == {"_submit": 5}  # the 5 multipliers, and nothing else
     assert inline == threaded
 
 
-# _free_flow fails on the worker; _phase fails first in the caller's own
-# first gauge, with the first multiplier in flight.
-@pytest.mark.parametrize("name", ["_free_flow", "_phase"])
+# _free_flow fails on the worker; plane_wave fails first in the caller's
+# own first gauge, with the first multiplier in flight.
+@pytest.mark.parametrize("name", ["_free_flow", "plane_wave"])
 def test_worker_error_reaches_caller(monkeypatch, small, name):
     g, phi = small
 
@@ -332,7 +334,8 @@ def test_ladders_share_one_worker(small):
 
 def test_caller_thread_builds_states_and_runs_ffts(monkeypatch, small):
     g, phi = small
-    threads = {"WaveFunction": set(), "fft": set(), "ifft": set(), "_free_flow": set()}
+    threads = {"WaveFunction": set(), "fft": set(), "ifft": set(), "plane_wave": set(),
+               "_free_flow": set()}
 
     def on_thread(name, fn):
         def wrapper(*args, **kwargs):
@@ -343,11 +346,66 @@ def test_caller_thread_builds_states_and_runs_ffts(monkeypatch, small):
     monkeypatch.setattr(WaveFunction, "__init__", on_thread("WaveFunction", WaveFunction.__init__))
     for name in ("fft", "ifft"):
         monkeypatch.setattr(evolvers.np.fft, name, on_thread(name, getattr(evolvers.np.fft, name)))
-    monkeypatch.setattr(evolvers, "_free_flow", on_thread("_free_flow", evolvers._free_flow))
+    for name in ("plane_wave", "_free_flow"):
+        monkeypatch.setattr(evolvers, name, on_thread(name, getattr(evolvers, name)))
     list(spectral_ladder(phi, LADDER_EPS, -1.0, LADDER_TIMES))
     caller = {threading.get_ident()}
-    assert threads["WaveFunction"] == threads["fft"] == threads["ifft"] == caller
+    assert (threads["WaveFunction"] == threads["fft"] == threads["ifft"]
+            == threads["plane_wave"] == caller)
     assert threads["_free_flow"] and not threads["_free_flow"] & caller
+
+
+def _complex_exps(monkeypatch, n):
+    """The thread of every complex np.exp with n values, in call order."""
+    seen = []
+    exp = np.exp
+
+    def counted(*args, **kwargs):
+        out = exp(*args, **kwargs)
+        if np.iscomplexobj(out) and np.size(out) == n:
+            seen.append(threading.get_ident())
+        return out
+
+    monkeypatch.setattr(np, "exp", counted)
+    return seen
+
+
+def test_n_point_exponentials_are_the_multipliers_alone(monkeypatch, small, medium):
+    # Every linear phase is a plane_wave (two short tables), so the only
+    # N-point exponentials left are the multipliers, one per distinct
+    # eps*t, all on the worker.  The twiddle is cached per N beforehand.
+    g, phi = small
+    evolvers._twiddle(g.N)
+    seen = _complex_exps(monkeypatch, g.N)
+    list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
+    assert len(seen) == len({e * t for e in LADDER_EPS for t in LADDER_TIMES}) == 5
+    assert threading.get_ident() not in seen
+    seen.clear()
+    asymptotic_evolve(phi, EvolutionParams(0.3, 1.0, 0.5))
+    assert seen == []
+
+    g, phi = medium
+    evolvers._twiddle(g.N)
+    seen = _complex_exps(monkeypatch, g.N)
+    cfg = SweepConfig(preset="xexp", L=g.L, N=g.N, b=1.0, times=(0.5, 1.0), eps=(0.3, 0.15))
+    sweep_theorem1(cfg)
+    assert len(seen) == len({e * t for e in cfg.eps for t in cfg.times}) == 3
+    assert threading.get_ident() not in seen
+
+
+def test_free_flow_allocates_no_n_point_array():
+    # The worker writes only into the caller's array: a temporary of N
+    # complex values (16 N bytes) would stay resident in its malloc arena.
+    n = 2 ** 16
+    k2 = (np.arange(n, 0, -1) * (math.pi / 40.0)) ** 2
+    out = np.empty(n, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        evolvers._free_flow(0.1, k2, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n
 
 
 def test_twiddle_cached_read_only():
@@ -376,9 +434,9 @@ def test_spectral_refuses_loose_boundary(small):
 
 def test_kernel_fft_sum_matches_direct_phases(small):
     g, phi = small
-    args = (g.x, phi.values, 0.3, 1.0, 0.5, g.h)
-    fast = _kernel_sum_fft(*args)
-    direct = _kernel_sum_direct(*args)
+    args = (phi.values, 0.3, 1.0, 0.5)
+    fast = _kernel_sum_fft(g, *args)
+    direct = _kernel_sum_direct(g.x, *args, g.h)
     np.testing.assert_allclose(fast, direct, atol=1e-12)
 
 
@@ -393,9 +451,9 @@ def test_kernel_fft_index_maps(n, b, reach):
     t = reach * g.L / b
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    args = (g.x, v, 0.2, b, t, g.h)
+    args = (v, 0.2, b, t)
     np.testing.assert_allclose(
-        _kernel_sum_fft(*args), _kernel_sum_direct(*args), atol=1e-12
+        _kernel_sum_fft(g, *args), _kernel_sum_direct(g.x, *args, g.h), atol=1e-12
     )
 
 

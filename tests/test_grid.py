@@ -13,6 +13,7 @@ from halfline.grid import (
     indicator_project,
     inner,
     mass,
+    plane_wave,
     reflect_sample,
     sample_at,
     shift_sample,
@@ -311,3 +312,26 @@ def test_reductions_match_reference_sums():
     assert mass(u) == pytest.approx(g.h * np.vdot(u.values, u.values).real, rel=1e-13)
     assert norm(u) == math.sqrt(mass(u))
     assert inner(u, v) == pytest.approx(g.h * np.vdot(u.values, v.values), rel=1e-13)
+
+
+# |k| L from 0 to 4e5, both signs: the two tables against one exponential per node.
+@pytest.mark.parametrize("L,N", [(40.0, 65536), (20.0, 4096), (1.0, 8), (3.7, 16)])
+@pytest.mark.parametrize("kL", [0.0, 1e-3, 1.0, 3.3, 1e2, 1e4, 4e5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_plane_wave_matches_pointwise_exp(L, N, kL, sign):
+    # Each method rounds its argument k x twice (2u |k x| each), plus a
+    # few ulp in the exponentials and the product.
+    g = make_grid(L, N)
+    k = sign * kL / L
+    out = np.empty(N, dtype=np.complex128)
+    assert plane_wave(g, k, out) is out
+    err = np.max(np.abs(out - np.exp(1j * k * g.x)))
+    assert err <= 1e-15 + 5e-16 * abs(k) * L
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 1e307])
+def test_plane_wave_refuses_a_phase_it_cannot_compute(k):
+    # 1e307 is finite, but k x overflows at the far end of [0, 40].
+    g = make_grid(40.0, 1024)
+    with pytest.raises(ValidationError, match="k="):
+        plane_wave(g, k, np.empty(g.N, dtype=np.complex128))

@@ -58,6 +58,34 @@ def test_sweep_refuses_underresolved_rung():
         sweep_theorem1(cfg)
 
 
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_unresolved_rung_is_refused_before_the_far_wall(claim):
+    # Unresolved at eps = 1e-5 and past the far wall at t = 5: the rung
+    # gate comes first for every claim, thm2 included, whose own probe
+    # ladder (0.5 down to 0.0625) is resolved.
+    cfg = SweepConfig(preset="xexp", L=4.0, N=2 ** 10, b=1.0,
+                      times=(5.0,), eps=(0.5, 1e-5))
+    with pytest.raises(ResolutionError):
+        run_claim(claim, cfg)
+
+
+def test_sweeps_gate_each_rung_once(monkeypatch):
+    import halfline.evolvers as evolvers
+    import halfline.harness as harness
+
+    gated = []
+    real = evolvers.require_resolved
+    gate = lambda grid, e, b, who: gated.append(e) or real(grid, e, b, who)  # noqa: E731
+    monkeypatch.setattr(evolvers, "require_resolved", gate)
+    monkeypatch.setattr(harness, "require_resolved", gate, raising=False)
+    cfg = SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=1.0,
+                      times=(0.5, 1.0), eps=(0.3, 0.15))
+    for claim in ("thm1", "weak", "thm3", "thm5", "prop2"):
+        gated.clear()
+        run_claim(claim, cfg)
+        assert gated == list(cfg.eps), claim
+
+
 def test_sweep_refuses_tail_mass():
     # bump23 sits inside reach of the far wall on a short interval
     cfg = SweepConfig(preset="bump23", L=4.0, N=2 ** 10, b=1.0,
