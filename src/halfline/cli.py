@@ -214,6 +214,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         times=opt["times"], eps=opt["eps"],
     )
     claim = opt["claim"]
+    if claim != "weak" and opt.get("g") is not None:
+        raise ValidationError(
+            f"--g names the test vector of weak sweeps; claim {claim!r} takes none"
+        )
     records, checks = run_claim(claim, cfg, g_name=opt.get("g") or "bump12")
     out_dir = Path(opt.get("out_dir") or ".")
     csv_path = out_dir / f"{claim}.csv"

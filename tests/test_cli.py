@@ -281,6 +281,25 @@ def test_sweep_claim_choice_is_validated(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_sweep_g_outside_weak_exits_2(capsys, tmp_path, from_config):
+    # --g names the weak sweep's test vector; any other claim refuses it
+    # rather than run without it.
+    argv = ["sweep", "--claim", "thm1", "--preset", "xexp", *SMALL, "--b", "1",
+            "--times", "0.5", "--eps", "0.3", "--out-dir", str(tmp_path)]
+    if from_config:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"g": "nosuch"}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--g", "nosuch"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: --g") and "'thm1'" in line
+    assert not (tmp_path / "thm1.csv").exists()
+
+
 # N = 16384 is the smallest grid on which OpenBLAS (0.3.31) split a dot
 # product over its threads; below it a BLAS-backed reduction passes too.
 THREAD_RUNS = (

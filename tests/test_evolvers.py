@@ -2,6 +2,9 @@ import math
 import threading
 import time
 import tracemalloc
+import warnings
+import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -245,8 +248,8 @@ def test_spectral_ladder_refuses_bad_times(monkeypatch, small):
 
 def _inline(fn, *args):
     """The worker's seam run on the caller's thread: the serial walk."""
-    job = evolvers._Job(fn, args)
-    job.run()
+    job = Future()
+    job.set_result(fn(*args))
     return job
 
 
@@ -319,7 +322,26 @@ def test_closed_ladder_leaves_no_job_running(monkeypatch, small):
     next(walk)
     walk.close()
     assert len(jobs) == 2
-    assert all(job.done.is_set() for job in jobs)
+    assert all(job.done() for job in jobs)
+
+
+def test_spent_multiplier_is_freed(monkeypatch, small):
+    # A finished Future holds its multiplier as its result; the walk must
+    # hold neither past the multiplier's last pair.
+    g, phi = small
+    free_flow, made = evolvers._free_flow, {}
+
+    def recorded(s, k2, out):
+        made[s] = weakref.ref(out)
+        return free_flow(s, k2, out)
+
+    monkeypatch.setattr(evolvers, "_free_flow", recorded)
+    eps, times = (0.4, 0.2), (0.5, 1.0)
+    last = {st: i for i, st in enumerate(e * t for e in eps for t in times)}
+    for i, _ in enumerate(spectral_ladder(phi, eps, 1.0, times)):
+        spent = [st for st, j in last.items() if j <= i]
+        assert [st for st in spent if made[st]() is not None] == []
+    assert len(spent) == len(made) == 3
 
 
 def test_ladders_share_one_worker(small):
@@ -329,7 +351,8 @@ def test_ladders_share_one_worker(small):
     for _ in range(50):
         list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
     assert threading.active_count() == before
-    assert [th.name for th in threading.enumerate()].count("halfline-exp") == 1
+    names = [th.name for th in threading.enumerate()]
+    assert sum(name.startswith("halfline-exp") for name in names) == 1
 
 
 def test_caller_thread_builds_states_and_runs_ffts(monkeypatch, small):
@@ -498,10 +521,14 @@ def test_asymptotic_t0_identity(small):
 
 
 def test_asymptotic_negative_drift_is_pure_shift(small):
+    # At b < 0 no phase is formed: even an eps whose b / eps overflows
+    # returns the shift, with no warning.
     g, phi = small
-    p = EvolutionParams(0.3, -1.0, 0.7)
-    out = asymptotic_evolve(phi, p)
-    assert np.array_equal(out.values, shift_sample(phi, -0.7).values)
+    for eps in (0.3, 1e-320):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = asymptotic_evolve(phi, EvolutionParams(eps, -1.0, 0.7))
+        assert np.array_equal(out.values, shift_sample(phi, -0.7).values)
 
 
 def test_asymptotic_warns_when_underresolved(small):

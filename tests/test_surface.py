@@ -7,8 +7,11 @@ benchmark reads from the package's top level.  And `import halfline`
 stays free of scipy, whose import alone costs more than the package's
 whole set-up, and free of BLAS-backed reductions, whose summation order
 follows the BLAS thread count into the report bytes.  It starts no
-thread; the spectral ladder's worker starts with the first ladder and
-holds neither the interpreter's exit nor a forked child.
+thread; the spectral ladder's worker, a one-thread ThreadPoolExecutor,
+starts with the first ladder.  Its thread is not a daemon: the
+interpreter's exit lets it finish the one job in flight and then ends,
+and a forked child, which inherits the pool but not its thread, starts
+its own.
 """
 
 import importlib
@@ -113,7 +116,7 @@ next(w)
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_a_ladder():
-    # The child inherits the parent's job queue but not its worker thread.
+    # The child inherits the parent's pool but not its worker thread.
     assert _python(_LADDER + """
 import os, signal
 list(walk())
