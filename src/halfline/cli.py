@@ -98,13 +98,15 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             raise ValidationError(f"missing required option --{key.replace('_', '-')}")
     merged.setdefault("L", REFERENCE_L)
     merged.setdefault("N", REFERENCE_N)
-    for key in ("L", "N", "b", "epsilon", "t"):
+    for key in ("L", "b", "epsilon", "t"):
         if merged.get(key) is not None:
             merged[key] = _number(key, merged[key])
-    if not merged["N"].is_integer():
-        raise ValidationError(f"--N expects an integer, got {merged['N']!r}")
-    merged["N"] = int(merged["N"])
-    args.N = merged["N"]  # what main names if the grid does not fit in memory
+    n = merged["N"]
+    if isinstance(n, bool) or not isinstance(n, int):  # an int stays exact
+        n = _number("N", n)
+        if not n.is_integer():
+            raise ValidationError(f"--N expects an integer, got {n!r}")
+    merged["N"] = args.N = int(n)  # main names args.N if the grid does not fit
     for key in ("times", "eps"):
         if merged.get(key) is not None:
             merged[key] = _parse_floats(key, merged[key])
@@ -245,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=int, help="cell count, power of two (default 65536)")
         sp.add_argument("--b", type=float, help="drift coefficient")
         sp.add_argument("--config", help="flat JSON file with option values")
-        sp.add_argument("--json", action="store_true", help="print JSON instead of key=value")
 
     pe = sub.add_parser("evolve", help="run one evolution and report its invariants")
     common(pe)
@@ -259,6 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pl)
     pl.add_argument("--t", type=float, help="evolution time")
     pl.set_defaults(func=cmd_limit)
+    for sp in (pe, pl):
+        sp.add_argument("--json", action="store_true", help="print JSON instead of key=value")
 
     ps = sub.add_parser("sweep", help="run a viscosity ladder for one claim keyword")
     common(ps)

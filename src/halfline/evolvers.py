@@ -12,14 +12,13 @@ are cross-checked against each other in the tests; the third is the
 candidate limit shape whose distance to the others is the quantity
 convergence sweeps measure.  ``spectral_ladder`` is the spectral route
 over a whole viscosity x time grid: the twiddle is built once per grid
-size, the gauge and forward transform once per viscosity, the time
-multiplier once per viscous time epsilon t, and one inverse transform
-runs per pair.
+size, the gauge and forward transform once per viscosity, and one
+free-flow multiplier and one inverse transform per pair.
 
 The ladder is the one place the package runs a second thread: a
 one-thread ``concurrent.futures`` pool, shared by every ladder in the
-process, computes the N-point free-flow multipliers one ahead of the
-caller.  The gauges (each a ``plane_wave``, two short tables), the
+process, computes the N-point free-flow multipliers one pair ahead of
+the caller.  The gauges (each a ``plane_wave``, two short tables), the
 FFTs, the mixing, the un-gauge and every ``WaveFunction`` stay on the
 caller's thread.
 """
@@ -30,7 +29,6 @@ import math
 import os
 import threading
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -252,12 +250,11 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
     Each piece of work is done once for what it depends on: the gates
     once for the whole grid, before any FFT; the twiddle e^(i pi q / N)
     once per grid size; the gauge and the forward FFT once per epsilon;
-    the multiplier once per viscous time s = epsilon t, held until the
-    last pair with that s; one inverse FFT per pair.
+    one multiplier and one inverse FFT per pair.
 
     One worker thread, a ``ThreadPoolExecutor`` started by the first walk
-    and shared by all, fills the multipliers in order of first use, each
-    submitted one ahead of the pair that takes it.  The gauge is a
+    and shared by all, fills the multipliers in walk order, each
+    submitted one pair ahead of the pair that takes it.  The gauge is a
     ``plane_wave``, cheaper than a round trip to the worker, so the
     caller's thread computes it.  The worker writes into arrays that the
     caller's thread allocates and runs numpy alone; the FFTs, the mix,
@@ -293,15 +290,12 @@ def _walk(phi: WaveFunction, eps: tuple, b: float, times: tuple):
     n = g.N
     twiddle = _twiddle(n)
     k2 = (np.arange(n, 0, -1) * (math.pi / g.L)) ** 2
-    uses = Counter(e * t for e in eps for t in times)
-    # Each viscous time's multiplier, in order of first use, filled on the
-    # worker into an array that the caller's thread allocates.  Each is
-    # submitted one ahead of the pair that takes it.  _free_flow returns
-    # that array, so a finished Future holds it: drop each once taken.
-    jobs = (_submit(_free_flow, st, k2, np.empty(n, dtype=np.complex128))
-            for st in list(uses))
+    # One multiplier per pair, filled on the worker into an array that the
+    # caller's thread allocates and submitted one pair ahead.  _free_flow
+    # returns that array, so a finished Future holds it: drop each once taken.
+    jobs = (_submit(_free_flow, e * t, k2, np.empty(n, dtype=np.complex128))
+            for e in eps for t in times)
     pending = next(jobs, None)
-    multipliers: dict[float, np.ndarray] = {}
     try:
         for e in eps:
             gauge = plane_wave(g, -0.5 * b / e, np.empty(n, dtype=np.complex128))
@@ -314,15 +308,9 @@ def _walk(phi: WaveFunction, eps: tuple, b: float, times: tuple):
             w *= 0.5
             np.conjugate(gauge, out=gauge)
             for t in times:
-                st = e * t
-                m = multipliers.get(st)
-                if m is None:
-                    job, pending = pending, next(jobs, None)
-                    m = multipliers[st] = job.result()
-                    del job
-                uses[st] -= 1
-                if uses[st] == 0:
-                    del multipliers[st]
+                job, pending = pending, next(jobs, None)
+                m = job.result()
+                del job
                 m_neg = _at_minus_q(m)
                 even = m + m_neg
                 even *= w

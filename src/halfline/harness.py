@@ -52,6 +52,9 @@ GS_DROP_TOL = 1e-6
 
 PROBE_RUNGS = 4
 
+# The fixed test vector of the prop2 weak residual.
+PROP2_PSI = "xexp"
+
 CSV_HEADER = "preset,b,t,epsilon,metric,value,ratio"
 
 
@@ -256,18 +259,18 @@ def sweep_expectations(
     return records
 
 
-def sweep_prop2(cfg: SweepConfig, psi_name: str = "xexp") -> list[ConvergenceRecord]:
+def sweep_prop2(cfg: SweepConfig) -> list[ConvergenceRecord]:
     """Strong and weak residuals against pure transport, both drift signs.
 
     For b < 0 the strong residual itself must vanish.  For b > 0 it
     stalls at the absorbed mass: the sweep then also records the weak
-    residual against a fixed test vector, which does vanish, and the
-    stall defect |residual^2 - (1 - alpha)|, which exposes exactly
-    where the strong limit fails.
+    residual against the fixed test vector PROP2_PSI, which does
+    vanish, and the stall defect |residual^2 - (1 - alpha)|, which
+    exposes exactly where the strong limit fails.
     """
     grid, phi, walk = _prepare(cfg)
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
-    psi = get_preset(psi_name, grid)
+    psi = get_preset(PROP2_PSI, grid)
     # V(t) phi and the absorbed mass depend on t alone, not on the rung.
     v = {t: limit_group_V(phi, cfg.b, t) for t in cfg.times}
     lost = {}
@@ -279,18 +282,18 @@ def sweep_prop2(cfg: SweepConfig, psi_name: str = "xexp") -> list[ConvergenceRec
         gap_sq = mass(diff)
         records.append(rec(t, e, "strong_gap", math.sqrt(gap_sq)))
         if cfg.b > 0:
-            records.append(rec(t, e, f"weak_gap[{psi_name}]", abs(inner(psi, diff))))
+            records.append(rec(t, e, f"weak_gap[{PROP2_PSI}]", abs(inner(psi, diff))))
             records.append(rec(t, e, "stall_defect", abs(gap_sq - lost[t])))
     return records
 
 
-def divergence_probe(cfg: SweepConfig, eps0: float | None = None) -> list[ConvergenceRecord]:
+def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
     """A single compact observable whose expectation has not settled on
     the ladder it is built from.
 
-    Takes the defect against pure transport on a halving ladder of
-    PROBE_RUNGS viscosities, orthonormalizes the defect directions,
-    and forms the alternating-sign sum of their rank-one projections.
+    Takes the defect against pure transport on PROBE_RUNGS viscosities
+    halving from cfg.eps[0], orthonormalizes the defect directions, and
+    forms the alternating-sign sum of their rank-one projections.
     Expectations of that one observable then oscillate between rungs
     by at least half the absorbed mass instead of settling.  Below its
     own ladder the probe does settle, as every fixed compact observable
@@ -306,9 +309,7 @@ def divergence_probe(cfg: SweepConfig, eps0: float | None = None) -> list[Conver
     # rung there, as for every other claim, before the probe's own ladder.
     grid, phi, _ = _prepare(cfg)
     t = max(cfg.times)
-    if eps0 is None:
-        eps0 = cfg.eps[0]
-    ladder = tuple(eps0 * 0.5 ** j for j in range(PROBE_RUNGS))
+    ladder = tuple(cfg.eps[0] * 0.5 ** j for j in range(PROBE_RUNGS))
     lost = 1.0 - comp_state_evolve(phi, cfg.b, t).alpha
     if lost < PROBE_MIN_ABSORBED:
         raise ValidationError(
@@ -342,8 +343,8 @@ def divergence_probe(cfg: SweepConfig, eps0: float | None = None) -> list[Conver
     for e, m, val in zip(ladder, gaps_sq, values):
         records.append(rec(e, "probe_gap_sq", m))
         records.append(rec(e, "probe_expectation", val))
-    records.append(rec(eps0, "probe_one_minus_alpha", lost))
-    records.append(rec(eps0, "probe_peak_to_peak", max(values) - min(values)))
+    records.append(rec(ladder[0], "probe_one_minus_alpha", lost))
+    records.append(rec(ladder[0], "probe_peak_to_peak", max(values) - min(values)))
     return records
 
 
@@ -364,8 +365,8 @@ def _prop2_checks(b: float) -> tuple[Check, ...]:
     if b < 0:
         return (Check("decreasing", "strong_gap"), Check("final_le", "strong_gap", 0.05))
     return (
-        Check("decreasing", "weak_gap[xexp]"),
-        Check("final_le", "weak_gap[xexp]", 0.02),
+        Check("decreasing", f"weak_gap[{PROP2_PSI}]"),
+        Check("final_le", f"weak_gap[{PROP2_PSI}]", 0.02),
         Check("final_le", "stall_defect", 0.05),
     )
 

@@ -151,6 +151,22 @@ def test_grid_beyond_memory_exits_2(capsys, monkeypatch, tmp_path, command, from
     assert err.startswith("error:") and f"N={n}" in err
 
 
+# Above 2^53 a float would round N: the first to an even N, the second to
+# 2^53 itself, a power of two.
+@pytest.mark.parametrize("n", [12345678901234567, 9007199254740993])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_integer_N_stays_exact(capsys, tmp_path, n, from_config):
+    if from_config:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"N": n}))
+        grid = ("--config", str(cfg))
+    else:
+        grid = ("--N", str(n))
+    rc, out, err = run_cli(capsys, "limit", "--preset", "xexp", "--b", "1", "--t", "1", *grid)
+    assert rc == 2 and out == ""
+    assert err == f"error: N must be a power of two, got {n}\n"
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
@@ -200,6 +216,18 @@ def test_argparse_errors_exit_2(capsys):
     assert main(["evolve", "--engine", "warp"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_sweep_takes_no_json_flag(capsys, tmp_path):
+    # --json shapes the key=value lines of evolve and limit; a sweep prints
+    # check lines and writes its reports, so it refuses the flag.
+    rc, out, err = run_cli(
+        capsys, "sweep", "--claim", "thm1", "--preset", "xexp", *SMALL, "--b", "1",
+        "--times", "0.5", "--eps", "0.3", "--out-dir", str(tmp_path), "--json",
+    )
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --json" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):

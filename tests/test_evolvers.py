@@ -190,7 +190,7 @@ def test_spectral_carries_lowest_and_nyquist_mode(monkeypatch, b, top):
 
 
 # eps halves while t doubles, so the viscous times eps t repeat: 9 pairs,
-# 5 distinct products.
+# 5 distinct products, and still one multiplier per pair.
 LADDER_EPS = (0.4, 0.2, 0.1)
 LADDER_TIMES = (0.25, 0.5, 1.0)
 
@@ -230,7 +230,7 @@ def test_rungs_run_one_forward_fft_per_rung(monkeypatch, small):
     states = list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
     assert len(states) == 9
     assert ffts == {"fft": 3, "ifft": 9}
-    assert multipliers == {"_free_flow": 5}
+    assert multipliers == {"_free_flow": 9}
 
 
 def test_spectral_ladder_refuses_bad_times(monkeypatch, small):
@@ -282,7 +282,7 @@ def test_worker_bytes_equal_inline_walk(monkeypatch, small, b):
     jobs = _count_calls(monkeypatch, evolvers, ("_submit",))
     inline = [(e, t, u.values.tobytes())
               for e, t, u in spectral_ladder(phi, LADDER_EPS, b, LADDER_TIMES)]
-    assert jobs == {"_submit": 5}  # the 5 multipliers, and nothing else
+    assert jobs == {"_submit": 9}  # one multiplier per pair, and nothing else
     assert inline == threaded
 
 
@@ -327,21 +327,22 @@ def test_closed_ladder_leaves_no_job_running(monkeypatch, small):
 
 def test_spent_multiplier_is_freed(monkeypatch, small):
     # A finished Future holds its multiplier as its result; the walk must
-    # hold neither past the multiplier's last pair.
+    # hold neither past its pair.  At each yield the one multiplier alive
+    # is the next pair's, in flight, even where the next pair repeats an
+    # earlier eps*t (0.4 * 0.5 = 0.2 * 1.0).
     g, phi = small
-    free_flow, made = evolvers._free_flow, {}
+    submit, made = evolvers._submit, []
 
-    def recorded(s, k2, out):
-        made[s] = weakref.ref(out)
-        return free_flow(s, k2, out)
+    def recorded(fn, s, k2, out):
+        made.append(weakref.ref(out))
+        return submit(fn, s, k2, out)
 
-    monkeypatch.setattr(evolvers, "_free_flow", recorded)
+    monkeypatch.setattr(evolvers, "_submit", recorded)
     eps, times = (0.4, 0.2), (0.5, 1.0)
-    last = {st: i for i, st in enumerate(e * t for e in eps for t in times)}
     for i, _ in enumerate(spectral_ladder(phi, eps, 1.0, times)):
-        spent = [st for st, j in last.items() if j <= i]
-        assert [st for st in spent if made[st]() is not None] == []
-    assert len(spent) == len(made) == 3
+        alive = [j for j, ref in enumerate(made) if ref() is not None]
+        assert alive == ([i + 1] if i < 3 else [])
+    assert len(made) == 4
 
 
 def test_ladders_share_one_worker(small):
@@ -395,13 +396,13 @@ def _complex_exps(monkeypatch, n):
 
 def test_n_point_exponentials_are_the_multipliers_alone(monkeypatch, small, medium):
     # Every linear phase is a plane_wave (two short tables), so the only
-    # N-point exponentials left are the multipliers, one per distinct
-    # eps*t, all on the worker.  The twiddle is cached per N beforehand.
+    # N-point exponentials left are the multipliers, one per pair, all on
+    # the worker.  The twiddle is cached per N beforehand.
     g, phi = small
     evolvers._twiddle(g.N)
     seen = _complex_exps(monkeypatch, g.N)
     list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
-    assert len(seen) == len({e * t for e in LADDER_EPS for t in LADDER_TIMES}) == 5
+    assert len(seen) == len(LADDER_EPS) * len(LADDER_TIMES) == 9
     assert threading.get_ident() not in seen
     seen.clear()
     asymptotic_evolve(phi, EvolutionParams(0.3, 1.0, 0.5))
@@ -412,7 +413,7 @@ def test_n_point_exponentials_are_the_multipliers_alone(monkeypatch, small, medi
     seen = _complex_exps(monkeypatch, g.N)
     cfg = SweepConfig(preset="xexp", L=g.L, N=g.N, b=1.0, times=(0.5, 1.0), eps=(0.3, 0.15))
     sweep_theorem1(cfg)
-    assert len(seen) == len({e * t for e in cfg.eps for t in cfg.times}) == 3
+    assert len(seen) == len(cfg.eps) * len(cfg.times) == 4
     assert threading.get_ident() not in seen
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import halfline.harness as harness
 from halfline import (
     ResolutionError,
     SweepConfig,
@@ -168,6 +169,17 @@ def test_sweep_prop2_metrics_by_sign():
     assert {r.metric for r in neg} == {"strong_gap"}
     pos = sweep_prop2(SweepConfig(b=1.0, **base))
     assert {r.metric for r in pos} == {"strong_gap", "weak_gap[xexp]", "stall_defect"}
+
+
+def test_prop2_checks_read_the_sweep_test_vector(monkeypatch):
+    # One constant names the weak residual's test vector for the sweep's
+    # rows and for the checks that judge them.
+    monkeypatch.setattr(harness, "PROP2_PSI", "bump12")
+    cfg = SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=1.0, times=(0.5,), eps=(0.3, 0.15))
+    records, checks = run_claim("prop2", cfg)
+    metrics = {r.metric for r in records}
+    assert metrics == {"strong_gap", "weak_gap[bump12]", "stall_defect"}
+    assert {c.metric for c in checks} <= metrics
 
 
 def test_divergence_probe_alternates():
