@@ -35,12 +35,6 @@ from .presets import PRESET_NAMES, REFERENCE_L, REFERENCE_N, get_preset
 
 ENGINES = ("spectral", "kernel", "asymptotic", "both")
 
-_CONFIG_KEYS = {
-    "evolve": ("preset", "L", "N", "epsilon", "b", "t", "engine", "out"),
-    "limit": ("preset", "L", "N", "b", "t"),
-    "sweep": ("claim", "preset", "L", "N", "b", "times", "eps", "out_dir", "g"),
-}
-
 _REQUIRED = {
     "evolve": ("preset", "epsilon", "b", "t"),
     "limit": ("preset", "b", "t"),
@@ -66,7 +60,7 @@ def _parse_floats(key: str, val) -> tuple[float, ...]:
     raise ValidationError(f"--{key} expects a comma list of numbers, got {val!r}")
 
 
-def _load_config(path: str, command: str) -> dict:
+def _load_config(path: str, command: str, allowed) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
@@ -75,8 +69,7 @@ def _load_config(path: str, command: str) -> dict:
         raise ValidationError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path} must be a flat JSON object")
-    allowed = set(_CONFIG_KEYS[command])
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw).difference(allowed))
     if unknown:
         raise ValidationError(
             f"config {path} has unknown keys for {command}: {', '.join(unknown)}"
@@ -85,14 +78,14 @@ def _load_config(path: str, command: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge flag values over config file values and check required ones."""
-    merged: dict = {}
-    if args.config is not None:
-        merged.update(_load_config(args.config, command))
-    for key in _CONFIG_KEYS[command]:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
+    """Merge flag values over config file values and check required ones.
+
+    A config file may set any option of the command's parser, the
+    parser's own dests, except --config itself and --json.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config", "json")}
+    merged = {} if args.config is None else _load_config(args.config, command, flags)
+    merged.update((k, v) for k, v in flags.items() if v is not None)
     for key in _REQUIRED[command]:
         if merged.get(key) is None:
             raise ValidationError(f"missing required option --{key.replace('_', '-')}")
@@ -113,22 +106,13 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return merged
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
-
-
 def _print_result(pairs: list[tuple[str, object]], as_json: bool) -> None:
+    """Print reals in a 17-digit format and anything else, N included, as is."""
     if as_json:
-        out = {}
-        for k, v in pairs:
-            out[k] = float(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else v
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(json.dumps(dict(pairs), indent=2, sort_keys=True))
     else:
         for k, v in pairs:
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.floating)):
-                print(f"{k}={v}")
-            else:
-                print(f"{k}={_fmt(float(v))}")
+            print(f"{k}={v:.16e}" if isinstance(v, float) else f"{k}={v}")
 
 
 @contextmanager

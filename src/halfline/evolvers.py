@@ -265,7 +265,8 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
 
     Every refusal comes at the call, before the walk is iterated: a bad
     parameter, an unresolved rung, a viscous time whose top-mode phase
-    overflows, data that do not vanish at the wall.
+    overflows, an un-gauge phase b^2 t / 4 eps that overflows, data that
+    do not vanish at the wall.
     """
     eps, times = tuple(eps), tuple(times)
     for t in times:
@@ -279,6 +280,12 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
                 raise ValidationError(
                     f"spectral_evolve at eps*t={e * t:.3e}: the phase eps*t*(N*pi/L)^2 "
                     f"of the top sine mode overflows"
+                )
+            # _walk's un-gauge phase 0.25j * b * b * t / e, factors in its order
+            if not math.isfinite(0.25 * b * b * t / e):
+                raise ValidationError(
+                    f"spectral_evolve at eps={e:.3e}, b={b:.3e}, t={t:.3e}: the "
+                    f"un-gauge phase b^2*t/(4*eps) overflows"
                 )
     _require_pinned(phi, "spectral_evolve")
     return _walk(phi, eps, b, times)
@@ -354,6 +361,14 @@ def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     return u
 
 
+def two_wave(moved, phase, mirrored, out):
+    """The two-wave form moved - phase * mirrored, written into out (which
+    may be phase) and returned.  Phase first: numpy's complex product is
+    not bit-symmetric in its operands, and reports depend on its bytes."""
+    np.multiply(phase, mirrored, out=out)
+    return np.subtract(moved, out, out=out)
+
+
 def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     """Two-wave closed form: transported data minus a reflected ripple.
 
@@ -382,11 +397,7 @@ def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             ResolutionWarning,
             stacklevel=2,
         )
-    # moved - phase * mirrored in place, phase first: numpy's complex
-    # product is not bit-symmetric in its operands.
-    d *= mirrored.values
-    np.subtract(moved.values, d, out=d)
-    return WaveFunction(g, d)
+    return WaveFunction(g, two_wave(moved.values, d, mirrored.values, out=d))
 
 
 def remainder_norm(phi: WaveFunction, p: EvolutionParams) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, check_params
-from .evolvers import limit_group_V, spectral_ladder
+from .evolvers import limit_group_V, spectral_ladder, two_wave
 from .grid import (
     BoundedFunction,
     Grid,
@@ -32,12 +32,7 @@ from .grid import (
     shift_sample,
 )
 from .limit_dynamics import comp_state_evolve, mult_expectation_limit
-from .observables import (
-    FiniteRankObservable,
-    MultiplicationObservable,
-    comp_expectation_limit,
-    expectation,
-)
+from .observables import FiniteRankObservable, comp_expectation_limit, expectation
 from .presets import get_preset
 
 # Mass allowed within reach of the far wall over the whole sweep.
@@ -170,8 +165,7 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
             # The reflected wave's phase depends on the rung alone.
             phase = plane_wave(grid, cfg.b / e, np.empty(grid.N, dtype=np.complex128))
         moved, mirrored = parts[t]
-        d = phase * mirrored.values
-        np.subtract(moved.values, d, out=d)
+        d = two_wave(moved.values, phase, mirrored.values, out=np.empty_like(phase))
         np.subtract(u.values, d, out=u.values)
         r = norm(u)
         worst = max(worst, r)
@@ -198,9 +192,7 @@ def sweep_weak_decay(cfg: SweepConfig, g_name: str = "bump12") -> list[Convergen
             for e, t, u in walk]
 
 
-def standard_observables(
-    grid: Grid, kinds: tuple[str, ...], cut: float | None = None
-) -> dict[str, object]:
+def standard_observables(grid: Grid, kinds: tuple[str, ...], cut: float) -> dict[str, object]:
     """The stock observables sweeps report on.
 
     indicator: multiplication by the indicator of [0, cut]; sweeps place
@@ -211,13 +203,10 @@ def standard_observables(
     out: dict[str, object] = {}
     for kind in kinds:
         if kind == "indicator":
-            if cut is None:
-                raise ValidationError("the indicator observable needs a cut position")
-            vals = np.where(grid.x <= cut, 1.0, 0.0)
-            out[kind] = MultiplicationObservable(BoundedFunction(grid, vals, 1.0))
+            out[kind] = BoundedFunction(grid, np.where(grid.x <= cut, 1.0, 0.0), 1.0)
         elif kind == "sigmoid":
             vals = 1.0 / (1.0 + np.exp(-4.0 * (grid.x - 2.0)))
-            out[kind] = MultiplicationObservable(BoundedFunction(grid, vals, 1.0))
+            out[kind] = BoundedFunction(grid, vals, 1.0)
         elif kind == "projector":
             d = get_preset("bump12", grid)
             unit = WaveFunction(grid, d.values / norm(d))
@@ -245,8 +234,8 @@ def sweep_expectations(
     limits: dict[tuple[str, float], float] = {}
     for t in cfg.times:
         for kind, a in obs_by_t[t].items():
-            if isinstance(a, MultiplicationObservable):
-                lim = float(np.real(mult_expectation_limit(phi, a.f, cfg.b, t)))
+            if isinstance(a, BoundedFunction):
+                lim = float(np.real(mult_expectation_limit(phi, a, cfg.b, t)))
             else:
                 lim = comp_expectation_limit(phi, a, cfg.b, t)
             limits[(kind, t)] = lim

@@ -68,7 +68,6 @@ def kraus_apply(phi: WaveFunction, b: float, t: float) -> KrausBranchState:
     Requires unit input, since the mass bookkeeping is meaningless
     otherwise.
     """
-    check_params(b=b, t=t, inflow=True)
     require_unit(phi, "kraus_apply")
     v = shift_V(phi, b, t)
     w = reflect_W(phi, b, t)
@@ -92,7 +91,6 @@ def mult_expectation_limit(
     the reflected wave cancels against its conjugate, so the limit
     sees plain densities and no interference term.
     """
-    check_params(b=b, t=t, inflow=True)
     if phi.grid != f.grid:
         raise ValidationError("observable and state live on different grids")
     return weighted_mass(f, density(shift_V(phi, b, t)) + density(reflect_W(phi, b, t)))
@@ -117,7 +115,6 @@ class CompAlgebraState:
 
 def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
     """Evolve a unit vector to its limiting state on compact observables."""
-    check_params(b=b, t=t, inflow=True)
     require_unit(phi, "comp_state_evolve")
     v = shift_V(phi, b, t)
     alpha = min(mass(v), 1.0)
@@ -159,8 +156,6 @@ class WoldProjectors:
     """
 
     grid: Grid
-    b: float
-    t: float
     cut: float
 
     def upper(self, u: WaveFunction) -> WaveFunction:
@@ -174,7 +169,7 @@ def wold_projectors(grid: Grid, b: float, t: float) -> WoldProjectors:
     check_params(b=b, t=t, inflow=True)
     if b * t >= grid.L:
         raise ValidationError(f"cut b t = {b * t:g} reaches the far wall at L={grid.L:g}")
-    return WoldProjectors(grid=grid, b=b, t=t, cut=b * t)
+    return WoldProjectors(grid=grid, cut=b * t)
 
 
 def comp_semigroup_check(phi: WaveFunction, b: float, t: float, tau: float) -> float:

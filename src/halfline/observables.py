@@ -18,13 +18,6 @@ from .limit_dynamics import comp_state_evolve
 
 
 @dataclass(frozen=True)
-class MultiplicationObservable:
-    """Multiplication by a bounded sampled function."""
-
-    f: BoundedFunction
-
-
-@dataclass(frozen=True)
 class FiniteRankObservable:
     """Real combination sum_k c_k P_k of rank-one projections.
 
@@ -51,16 +44,16 @@ class FiniteRankObservable:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
 
-Observable = MultiplicationObservable | FiniteRankObservable
+Observable = BoundedFunction | FiniteRankObservable
 
 
 def expectation(u: WaveFunction, obs: Observable) -> float | complex:
-    """Quadratic form <u, A u> of an observable on a state."""
-    if isinstance(obs, MultiplicationObservable):
-        f = obs.f
-        if u.grid != f.grid:
+    """Quadratic form <u, A u> of an observable on a state; a
+    BoundedFunction acts by multiplication."""
+    if isinstance(obs, BoundedFunction):
+        if u.grid != obs.grid:
             raise ValidationError("observable and state live on different grids")
-        return weighted_mass(f, density(u))
+        return weighted_mass(obs, density(u))
     if isinstance(obs, FiniteRankObservable):
         total = 0.0
         for c, d in zip(obs.coeffs, obs.directions):

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResolutionError, ValidationError
-from .grid import Grid, WaveFunction, norm
+from .grid import UNIT_TOL, Grid, WaveFunction, norm
 
 REFERENCE_L = 40.0
 REFERENCE_N = 2 ** 16
@@ -22,10 +22,6 @@ REFERENCE_N = 2 ** 16
 # Normalizes x exp(-x^2) on the half line: the squared integral is
 # sqrt(pi/2)/8, so the amplitude is sqrt(8)/(pi/2)^(1/4).
 XEXP_AMPLITUDE = math.sqrt(8.0) / (math.pi / 2.0) ** 0.25
-
-# A sampled preset whose grid norm misses 1 by more than this is not
-# resolved by the grid: its cells are too wide for the profile.
-PRESET_NORM_TOL = 0.5
 
 PRESET_NAMES = ("xexp", "bump12", "bump23", "sine-mode-<k>")
 
@@ -82,7 +78,8 @@ def preset_function(name: str, L: float | None = None) -> Callable[[np.ndarray],
 
 def get_preset(name: str, grid: Grid) -> WaveFunction:
     """Sample a preset on a grid after checking it is representable there:
-    it vanishes at the wall and its grid norm is near its exact norm 1."""
+    it vanishes at the wall and its grid norm is its exact norm 1 to
+    within UNIT_TOL, the tolerance every unit vector on a grid meets."""
     m = _SINE_RE.match(name)
     if m and int(m.group(1)) > grid.N // 4:
         raise ValidationError(
@@ -96,9 +93,9 @@ def get_preset(name: str, grid: Grid) -> WaveFunction:
         raise ValidationError(f"preset {name!r} does not vanish at the wall")
     u = WaveFunction(grid, vals)
     n = norm(u)
-    if abs(n - 1.0) > PRESET_NORM_TOL:
+    if abs(n - 1.0) > UNIT_TOL:
         raise ResolutionError(
             f"preset {name!r} has grid norm {n:.3e} on L={grid.L:g}, N={grid.N}: "
-            f"the grid does not resolve it"
+            f"the grid does not resolve it (|norm - 1| = {abs(n - 1.0):.1e} > {UNIT_TOL:g})"
         )
     return u

@@ -202,6 +202,13 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         # b / eps overflows: refused before the underresolution warning.
         (("evolve", "--preset", "xexp", "--epsilon", "1e-320", "--b", "1", "--t", "1",
           "--engine", "asymptotic"), "k=inf"),
+        # b * b overflows in the un-gauge phase, though b t = 1 and b / eps = 1.
+        (("evolve", "--preset", "xexp", "--epsilon", "1e300", "--b", "1e300",
+          "--t", "1e-300"), "un-gauge phase b^2*t/(4*eps) overflows"),
+        # bump12 misses norm 1 by 1.5e-5 on this grid: refused as a preset,
+        # before the limit maps ask for a unit vector.
+        (("limit", "--preset", "bump12", "--b", "1", "--t", "1.5", "--N", "1024"),
+         "preset 'bump12' has grid norm 1.000e+00 on L=40, N=1024"),
     ],
 )
 def test_refusal_prints_only_its_error_line(argv, cause):
@@ -239,6 +246,49 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     )
     assert rc == 2
     assert "viscosity" in err
+
+
+def _every_option(command, tmp_path):
+    """A config for command that sets every option of its parser."""
+    grid = {"preset": "xexp", "L": 10, "N": 1024, "b": 1.0}
+    if command == "evolve":
+        return {**grid, "epsilon": 0.3, "t": 0.5, "engine": "spectral",
+                "out": str(tmp_path / "wave.csv")}
+    if command == "limit":
+        return {**grid, "t": 1.5}
+    return {**grid, "claim": "weak", "times": "0.5", "eps": "0.3,0.15",
+            "out_dir": str(tmp_path), "g": "bump12"}
+
+
+@pytest.mark.parametrize("command", ["evolve", "limit", "sweep"])
+def test_config_may_set_every_option(capsys, tmp_path, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_every_option(command, tmp_path)))
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert rc == 0 and err == ""
+
+
+@pytest.mark.parametrize("command", ["evolve", "limit", "sweep"])
+def test_config_refuses_the_json_flag(capsys, tmp_path, command):
+    # --json shapes what is printed, not what is run: it is a flag only.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**_every_option(command, tmp_path), "json": True}))
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "unknown keys" in err and "json" in err
+
+
+@pytest.mark.parametrize("command", [("evolve", "--epsilon", "0.3", "--t", "0.5"),
+                                     ("limit", "--t", "1.5")], ids=["evolve", "limit"])
+def test_N_prints_as_an_exact_integer(capsys, command):
+    argv = (*command, "--preset", "xexp", "--b", "1", *SMALL)
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert "N=1024" in out.splitlines()
+    rc, out, _ = run_cli(capsys, *argv, "--json")
+    assert rc == 0
+    n = json.loads(out)["N"]
+    assert n == 1024 and type(n) is int
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -158,9 +158,7 @@ def test_sweep_expectations_evolves_once_per_rung():
 def test_standard_observables_unknown_kind():
     g = make_grid(20.0, 2 ** 10)
     with pytest.raises(ValidationError):
-        standard_observables(g, ("sigmoid", "spline"))
-    with pytest.raises(ValidationError):
-        standard_observables(g, ("indicator",))
+        standard_observables(g, ("sigmoid", "spline"), cut=1.0)
 
 
 def test_sweep_prop2_metrics_by_sign():

@@ -44,6 +44,19 @@ def test_regime_validation(medium):
         destruction_time(xe, -2.0)
 
 
+@pytest.mark.parametrize("b,t", [(0.0, 0.5), (-1.0, 0.5), (1.0, -0.1)])
+@pytest.mark.parametrize("fn", [
+    kraus_apply,
+    comp_state_evolve,
+    lambda phi, b, t: mult_expectation_limit(
+        phi, BoundedFunction(phi.grid, np.ones(phi.grid.N), 1.0), b, t),
+], ids=["kraus_apply", "comp_state_evolve", "mult_expectation_limit"])
+def test_limit_maps_refuse_outside_the_inflow_regime(medium, fn, b, t):
+    g, xe, _ = medium
+    with pytest.raises(ValidationError):
+        fn(xe, b, t)
+
+
 def test_kraus_needs_unit_input(medium):
     g, xe, _ = medium
     scaled = WaveFunction(g, 1.1 * xe.values)

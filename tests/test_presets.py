@@ -85,3 +85,11 @@ def test_preset_refused_where_its_grid_norm_misses_one(name):
     grid = make_grid(40.0, 8)
     with pytest.raises(ResolutionError, match="on L=40, N=8: the grid does not resolve"):
         get_preset(name, grid)
+
+
+@pytest.mark.parametrize("name,n", [("bump12", 1024), ("bump23", 2048)])
+def test_preset_refused_at_the_unit_tolerance(name, n):
+    # The arches miss norm 1 by 1.5e-5 and 1.8e-6 here: too far for a unit
+    # vector on this grid, though much closer than the N = 8 misses above.
+    with pytest.raises(ResolutionError, match=rf"on L=40, N={n}: .*\|norm - 1\| = "):
+        get_preset(name, make_grid(40.0, n))
