@@ -38,6 +38,7 @@ from .errors import ResolutionError, ResolutionWarning, ValidationError, check_p
 from .grid import (
     Grid,
     WaveFunction,
+    _adopt,
     boundary_defect,
     norm,
     plane_wave,
@@ -167,7 +168,7 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             f"{lam_chirp / PPW_MIN:.3e}, grid has h = {g.h:.3e}"
         )
     vals = _kernel_sum_fft(g, phi.values, p.epsilon, p.b, p.t)
-    u = WaveFunction(g, vals)
+    u = _adopt(g, vals)
     n0, n1 = norm(phi), norm(u)
     if abs(n1 - n0) > KERNEL_NORM_TOL * n0:
         raise ResolutionError(
@@ -263,12 +264,19 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
     those of a serial walk.  A walk closed early waits for the job it
     has in flight.
 
-    Every refusal comes at the call, before the walk is iterated: a bad
-    parameter, an unresolved rung, a viscous time whose top-mode phase
-    overflows, an un-gauge phase b^2 t / 4 eps that overflows, data that
-    do not vanish at the wall.
+    Every refusal comes at the call, before the walk is iterated: those
+    of ``ladder_gates``.
     """
     eps, times = tuple(eps), tuple(times)
+    ladder_gates(phi, eps, b, times)
+    return _walk(phi, eps, b, times)
+
+
+def ladder_gates(phi: WaveFunction, eps, b: float, times) -> None:
+    """The gates ``spectral_ladder`` runs on its viscosity x time grid,
+    one per rung: a bad parameter, an unresolved rung, a viscous time
+    whose top-mode phase overflows, an un-gauge phase b^2 t / 4 eps that
+    overflows, data that do not vanish at the wall."""
     for t in times:
         check_params(t=t)
     top = phi.grid.N * (math.pi / phi.grid.L)  # largest sine wavenumber
@@ -288,7 +296,6 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
                     f"un-gauge phase b^2*t/(4*eps) overflows"
                 )
     _require_pinned(phi, "spectral_evolve")
-    return _walk(phi, eps, b, times)
 
 
 def _walk(phi: WaveFunction, eps: tuple, b: float, times: tuple):
@@ -339,7 +346,7 @@ def _walk(phi: WaveFunction, eps: tuple, b: float, times: tuple):
                 del v
                 u *= gauge
                 u *= np.exp(0.25j * b * b * t / e)
-                out = WaveFunction(g, u)
+                out = _adopt(g, u)
                 del u
                 yield e, t, out
                 # Hold no state while the next is built: a caller that
@@ -355,7 +362,7 @@ def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     at the one pair (p.epsilon, p.t).  t = 0 returns the data unchanged,
     once they pass the ladder's gates."""
     if p.t == 0:
-        spectral_ladder(phi, (p.epsilon,), p.b, ())
+        ladder_gates(phi, (p.epsilon,), p.b, ())
         return WaveFunction(phi.grid, phi.values)
     ((_, _, u),) = spectral_ladder(phi, (p.epsilon,), p.b, (p.t,))
     return u
@@ -397,7 +404,7 @@ def asymptotic_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
             ResolutionWarning,
             stacklevel=2,
         )
-    return WaveFunction(g, two_wave(moved.values, d, mirrored.values, out=d))
+    return _adopt(g, two_wave(moved.values, d, mirrored.values, out=d))
 
 
 def remainder_norm(phi: WaveFunction, p: EvolutionParams) -> float:

@@ -82,26 +82,36 @@ def plane_wave(g: Grid, k: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _samples(grid: Grid, values) -> np.ndarray:
-    """A private complex copy of values, checked to be N finite samples."""
-    v = np.asarray(values, dtype=np.complex128)
+def _samples(grid: Grid, values, copy: bool = True) -> np.ndarray:
+    """values checked to be N finite samples: as a private complex copy,
+    or with copy=False as values itself, a contiguous complex128 array."""
+    v = np.array(values, dtype=np.complex128) if copy else values
     if v.shape != (grid.N,):
         raise ValidationError(f"values shape {v.shape} does not match grid with N={grid.N}")
-    # The two real views are cheaper to test than the complex array.
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    # One pass over the float view tests the real and imaginary parts.
+    if not np.isfinite(v.view(np.float64)).all():
         raise ValidationError("values must be finite")
-    return v.copy()
+    return v
 
 
 @dataclass
 class WaveFunction:
-    """Complex amplitudes sampled on a grid."""
+    """Complex amplitudes sampled on a grid, kept as a checked private copy."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
         self.values = _samples(self.grid, self.values)
+
+
+def _adopt(grid: Grid, v: np.ndarray) -> WaveFunction:
+    """A state wrapping v itself, checked as the constructor checks but
+    not copied.  v must be a complex128 N-array that the caller has just
+    allocated and does not touch again."""
+    u = WaveFunction.__new__(WaveFunction)
+    u.grid, u.values = grid, _samples(grid, v, copy=False)
+    return u
 
 
 @dataclass
@@ -253,7 +263,7 @@ def shift_sample(u: WaveFunction, s: float) -> WaveFunction:
         raise ValidationError(f"shift must be finite, got {s!r}")
     if s == 0.0:
         return WaveFunction(u.grid, u.values)
-    return WaveFunction(u.grid, _slice_blend(u, s, 1))
+    return _adopt(u.grid, _slice_blend(u, s, 1))
 
 
 def reflect_sample(u: WaveFunction, c: float) -> WaveFunction:
@@ -267,7 +277,7 @@ def reflect_sample(u: WaveFunction, c: float) -> WaveFunction:
     require_real("reflection offset", c)
     if not math.isfinite(c):
         raise ValidationError(f"reflection offset must be finite, got {c!r}")
-    return WaveFunction(u.grid, _slice_blend(u, c, -1))
+    return _adopt(u.grid, _slice_blend(u, c, -1))
 
 
 def indicator_project(u: WaveFunction, a: float, b: float) -> WaveFunction:
@@ -278,8 +288,12 @@ def indicator_project(u: WaveFunction, a: float, b: float) -> WaveFunction:
         raise ValidationError("band endpoints must be finite")
     if a > b:
         raise ValidationError(f"band endpoints out of order: a={a} > b={b}")
-    mask = (u.grid.x >= a) & (u.grid.x <= b)
-    return WaveFunction(u.grid, np.where(mask, u.values, 0.0 + 0.0j))
+    # x is sorted, so the nodes in [a, b] are the one slice [lo, hi).
+    lo = np.searchsorted(u.grid.x, a, "left")
+    hi = np.searchsorted(u.grid.x, b, "right")
+    out = np.zeros(u.grid.N, dtype=np.complex128)
+    out[lo:hi] = u.values[lo:hi]
+    return _adopt(u.grid, out)
 
 
 def boundary_value(u: WaveFunction) -> complex:

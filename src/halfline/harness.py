@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, check_params
-from .evolvers import limit_group_V, spectral_ladder, two_wave
+from .evolvers import ladder_gates, limit_group_V, spectral_ladder, two_wave
 from .grid import (
     BoundedFunction,
     Grid,
     WaveFunction,
+    _adopt,
     indicator_project,
     inner,
     make_grid,
@@ -115,15 +116,16 @@ def require_inside(phi: WaveFunction, b: float, horizon: float) -> None:
         )
 
 
-def _prepare(cfg: SweepConfig):
-    """Build the grid, the preset and the walk over cfg.eps x cfg.times,
-    refusing configurations the grid cannot carry.  The walk's gates,
-    one per rung, run here, before the far-wall check and any work."""
+def _prepare(cfg: SweepConfig, walk: bool = True):
+    """Build the grid, the preset and, if walk, the walk over cfg.eps x
+    cfg.times (else None), refusing configurations the grid cannot carry.
+    The walk's gates, one per rung, run here either way, before the
+    far-wall check and any work."""
     grid = make_grid(cfg.L, cfg.N)
     phi = get_preset(cfg.preset, grid)
-    walk = spectral_ladder(phi, cfg.eps, cfg.b, cfg.times)
+    ladder = (spectral_ladder if walk else ladder_gates)(phi, cfg.eps, cfg.b, cfg.times)
     require_inside(phi, cfg.b, max(cfg.times))
-    return grid, phi, walk
+    return grid, phi, ladder
 
 
 def attach_ratios(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
@@ -141,7 +143,7 @@ def attach_ratios(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
 
 def _defect(u: WaveFunction, v: WaveFunction) -> WaveFunction:
     """The defect u - V(t) phi of a viscous state against pure transport."""
-    return WaveFunction(u.grid, u.values - v.values)
+    return _adopt(u.grid, u.values - v.values)
 
 
 def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
@@ -294,9 +296,9 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
     """
     if cfg.b <= 0:
         raise ValidationError("the divergence probe runs in the inflow regime b > 0")
-    # The walk over cfg.eps goes unused: building it refuses an unresolved
-    # rung there, as for every other claim, before the probe's own ladder.
-    grid, phi, _ = _prepare(cfg)
+    # cfg.eps is not walked, but its rungs are gated as for every other
+    # claim, before the probe's own ladder.
+    grid, phi, _ = _prepare(cfg, walk=False)
     t = max(cfg.times)
     ladder = tuple(cfg.eps[0] * 0.5 ** j for j in range(PROBE_RUNGS))
     lost = 1.0 - comp_state_evolve(phi, cfg.b, t).alpha

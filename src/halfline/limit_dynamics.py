@@ -44,9 +44,10 @@ def shift_V(phi: WaveFunction, b: float, t: float) -> WaveFunction:
 
 
 def reflect_W(phi: WaveFunction, b: float, t: float) -> WaveFunction:
-    """Reflected branch: (W(t) u)(x) = u(b t - x), supported on [0, b t]."""
+    """Reflected branch: (W(t) u)(x) = u(b t - x), supported on [0, b t]
+    with no projection: every node past the cut reads a position below 0."""
     check_params(b=b, t=t, inflow=True)
-    return indicator_project(reflect_sample(phi, b * t), 0.0, b * t)
+    return reflect_sample(phi, b * t)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,10 @@ def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState
     if alpha <= ALPHA_FLOOR:
         profile = None
     else:
-        profile = WaveFunction(phi.grid, v.values / math.sqrt(alpha))
+        # v is this call's own fresh state: it becomes the profile,
+        # normalized in place.
+        v.values /= math.sqrt(alpha)
+        profile = v
     return CompAlgebraState(
         alpha=alpha,
         singular_weight=1.0 - alpha,

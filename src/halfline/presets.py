@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResolutionError, ValidationError
-from .grid import UNIT_TOL, Grid, WaveFunction, norm
+from .grid import UNIT_TOL, Grid, WaveFunction, _adopt, norm
 
 REFERENCE_L = 40.0
 REFERENCE_N = 2 ** 16
@@ -91,7 +91,7 @@ def get_preset(name: str, grid: Grid) -> WaveFunction:
     trace = float(np.abs(f(np.float64(0.0))))
     if peak > 0.0 and trace > 1e-8 * peak:
         raise ValidationError(f"preset {name!r} does not vanish at the wall")
-    u = WaveFunction(grid, vals)
+    u = _adopt(grid, vals)
     n = norm(u)
     if abs(n - 1.0) > UNIT_TOL:
         raise ResolutionError(

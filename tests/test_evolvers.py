@@ -105,8 +105,13 @@ def test_spectral_refuses_underresolved():
 
 def test_spectral_t0_identity(small):
     g, phi = small
+    before = phi.values.tobytes()
     out = spectral_evolve(phi, EvolutionParams(0.3, 1.0, 0.0))
     assert np.array_equal(out.values, phi.values)
+    # a copy, not the input's own array
+    assert not np.shares_memory(out.values, phi.values)
+    out.values *= 2.0
+    assert phi.values.tobytes() == before
 
 
 def test_spectral_t0_keeps_the_gates(small):
@@ -367,7 +372,10 @@ def test_caller_thread_builds_states_and_runs_ffts(monkeypatch, small):
             return fn(*args, **kwargs)
         return wrapper
 
+    # A state is built either by the public constructor or by adopting
+    # the walk's own fresh array.
     monkeypatch.setattr(WaveFunction, "__init__", on_thread("WaveFunction", WaveFunction.__init__))
+    monkeypatch.setattr(evolvers, "_adopt", on_thread("WaveFunction", evolvers._adopt))
     for name in ("fft", "ifft"):
         monkeypatch.setattr(evolvers.np.fft, name, on_thread(name, getattr(evolvers.np.fft, name)))
     for name in ("plane_wave", "_free_flow"):

@@ -138,7 +138,13 @@ def test_shift_by_whole_cells_is_exact(seed, k):
 def test_shift_zero_is_identity_bitwise():
     g = make_grid(10.0, 64)
     u = _random_wave(g, 7)
-    assert np.array_equal(shift_sample(u, 0.0).values, u.values)
+    before = u.values.tobytes()
+    s = shift_sample(u, 0.0)
+    assert np.array_equal(s.values, u.values)
+    # a copy, not the input's own array
+    assert not np.shares_memory(s.values, u.values)
+    s.values *= 2.0
+    assert u.values.tobytes() == before
 
 
 def test_reflect_about_L_reverses_nodes():

@@ -73,6 +73,13 @@ def test_import_leaves_scipy_out():
     ) == "[]"
 
 
+def test_import_leaves_the_worker_pool_out():
+    # concurrent.futures comes with the first spectral ladder, not the import.
+    assert _python(
+        "import sys, halfline; print('concurrent.futures' in sys.modules)"
+    ) == "False"
+
+
 def test_import_starts_no_thread():
     assert _python(
         "import threading, halfline; print([t.name for t in threading.enumerate()])"

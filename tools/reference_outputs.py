@@ -11,7 +11,9 @@ child process per run with ``OPENBLAS_NUM_THREADS=1``, from inside OUT:
 * ``evolve`` of xexp at eps = 0.1, t = 1 on the reference grid: the
   spectral and asymptotic engines at b = +1 and -1, the kernel engine
   and both engines at b = +1, each with its wave in ``evolve_<name>.csv``;
-* ``limit`` of bump12 and of xexp at b = 1, t = 1.5.
+* ``limit`` of bump12 and of xexp at b = 1, t = 1.5, and its edge
+  paths: bump12 at b = 1, t = 0 (the shift by zero) and t = 2.5 (alpha
+  0, no profile), bump23 at b = 2, t = 2.2.
 
 Each run keeps its stdout and stderr as ``<name>.stdout`` and
 ``<name>.stderr``.  Paths in the outputs are relative to OUT, so the
@@ -55,8 +57,12 @@ RUNS = {
        for engine, b, tag in (("spectral", "1", "b1"), ("spectral", "-1", "bm1"),
                               ("kernel", "1", "b1"), ("both", "1", "b1"),
                               ("asymptotic", "1", "b1"), ("asymptotic", "-1", "bm1"))},
-    **{f"limit_{preset}": ("limit", "--preset", preset, "--b", "1", "--t", "1.5")
-       for preset in ("bump12", "xexp")},
+    **{f"limit_{name}": ("limit", "--preset", preset, "--b", b, "--t", t)
+       for name, preset, b, t in (("bump12", "bump12", "1", "1.5"),
+                                  ("xexp", "xexp", "1", "1.5"),
+                                  ("bump12_t0", "bump12", "1", "0"),
+                                  ("bump12_t2.5", "bump12", "1", "2.5"),
+                                  ("bump23_b2", "bump23", "2", "2.2"))},
 }
 
 
