@@ -23,7 +23,7 @@ from .evolvers import (
     kernel_evolve,
     spectral_evolve,
 )
-from .grid import WaveFunction, boundary_value, make_grid, mass, norm
+from .grid import _adopt, boundary_value, make_grid, mass, norm
 from .harness import CLAIMS, SweepConfig, emit_report, require_inside, run_claim
 from .limit_dynamics import (
     comp_state_evolve,
@@ -148,7 +148,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if engine == "both":
         uk = kernel_evolve(phi, p)
         us = spectral_evolve(phi, p)
-        gap = norm(WaveFunction(grid, uk.values - us.values))
+        gap = norm(_adopt(grid, uk.values - us.values))
         pairs += [
             ("norm_kernel", norm(uk)), ("norm_spectral", norm(us)),
             ("cross_gap", gap), ("boundary", abs(boundary_value(us))),

@@ -13,21 +13,13 @@ candidate limit shape whose distance to the others is the quantity
 convergence sweeps measure.  ``spectral_ladder`` is the spectral route
 over a whole viscosity x time grid: the twiddle is built once per grid
 size, the gauge and forward transform once per viscosity, and one
-free-flow multiplier and one inverse transform per pair.
-
-The ladder is the one place the package runs a second thread: a
-one-thread ``concurrent.futures`` pool, shared by every ladder in the
-process, computes the N-point free-flow multipliers one pair ahead of
-the caller.  The gauges (each a ``plane_wave``, two short tables), the
-FFTs, the mixing, the un-gauge and every ``WaveFunction`` stay on the
+free-flow chirp and one inverse transform per pair, all on the
 caller's thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -191,45 +183,36 @@ def _twiddle(n: int) -> np.ndarray:
     return tw
 
 
-def _free_flow(s: float, k2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The free-flow multiplier e^(-i s k^2) at viscous time s = epsilon t,
-    computed in out itself: the worker thread allocates no N-point array,
-    so none stays resident in its own malloc arena."""
-    np.multiply(-1j * s, k2, out=out)
-    return np.exp(out, out=out)
+def _chirp(g: Grid, s: float, out: np.ndarray) -> np.ndarray:
+    """c_j = e^(-i theta j^2), theta = s (pi / L)^2, for j = 0..N-1,
+    written into the contiguous array out: the free flow at viscous time
+    s on the sine mode j.
 
-
-# The exponential worker: a one-thread ThreadPoolExecutor, started by the
-# first job in the process and shared by every ladder after it.  Its
-# thread is not a daemon, so the interpreter's exit lets it finish the
-# one job in flight.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _submit(fn, *args):
-    """Run fn(*args) on the worker thread, starting it on first use, and
-    return its Future."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # Imported on first use: imported with the module, it raised
-            # the benchmark's claim-sweeps peak RSS from 85.7 to 86.7 MB
-            # (2-core VM, three seeds).
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="halfline-exp")
-        return _pool.submit(fn, *args)
-
-
-def _forget_worker() -> None:
-    """A forked child inherits the pool but not its thread: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    With j = A a + B b + c in three power-of-two digits, B the size of
+    the c digit and A that of (b, c), the cross terms of j^2 separate:
+    c_j = e^(-i theta (A a + B b)^2) e^(-i theta (2 A a c + c^2))
+    e^(-i theta 2 B b c), three tables of about N^(2/3) exponentials
+    joined by two broadcast products.  Every argument is theta times an
+    exact integer, one rounding, so the phase error stays within a few
+    units of theta N^2 u (u the unit roundoff), no more than that of one
+    N-point np.exp.
+    """
+    bits = g.N.bit_length() - 1
+    na = 1 << (bits // 3)
+    nb = 1 << ((bits - bits // 3) // 2)
+    nc = g.N // (na * nb)
+    k = math.pi / g.L
+    theta = s * k * k  # formed as the top-mode gate forms s (N k)^2, so it stays finite
+    a = np.arange(na) * float(nb * nc)
+    b = np.arange(nb) * float(nc)
+    c = np.arange(nc, dtype=np.float64)
+    ab = np.exp(-1j * theta * (a[:, None] + b) ** 2)
+    ac = np.exp(-1j * theta * (2.0 * a[:, None] * c + c * c))
+    bc = np.exp(-1j * theta * (2.0 * b[:, None] * c))
+    cube = out.reshape(na, nb, nc)
+    np.multiply(ab[:, :, None], ac[:, None, :], out=cube)
+    cube *= bc
+    return out
 
 
 def spectral_ladder(phi: WaveFunction, eps, b: float, times):
@@ -250,19 +233,9 @@ def spectral_ladder(phi: WaveFunction, eps, b: float, times):
 
     Each piece of work is done once for what it depends on: the gates
     once for the whole grid, before any FFT; the twiddle e^(i pi q / N)
-    once per grid size; the gauge and the forward FFT once per epsilon;
-    one multiplier and one inverse FFT per pair.
-
-    One worker thread, a ``ThreadPoolExecutor`` started by the first walk
-    and shared by all, fills the multipliers in walk order, each
-    submitted one pair ahead of the pair that takes it.  The gauge is a
-    ``plane_wave``, cheaper than a round trip to the worker, so the
-    caller's thread computes it.  The worker writes into arrays that the
-    caller's thread allocates and runs numpy alone; the FFTs, the mix,
-    the un-gauge and every ``WaveFunction`` stay on the caller's thread,
-    in a serial walk's order and with its operands, so the bytes are
-    those of a serial walk.  A walk closed early waits for the job it
-    has in flight.
+    once per grid size; the gauge, the forward FFT and the twiddled sum
+    and difference of W_q and W_(-q) once per epsilon; one chirp
+    (``_chirp``, three small tables) and one inverse FFT per pair.
 
     Every refusal comes at the call, before the walk is iterated: those
     of ``ladder_gates``.
@@ -303,58 +276,46 @@ def _walk(phi: WaveFunction, eps: tuple, b: float, times: tuple):
     g = phi.grid
     n = g.N
     twiddle = _twiddle(n)
-    k2 = (np.arange(n, 0, -1) * (math.pi / g.L)) ** 2
-    # One multiplier per pair, filled on the worker into an array that the
-    # caller's thread allocates and submitted one pair ahead.  _free_flow
-    # returns that array, so a finished Future holds it: drop each once taken.
-    jobs = (_submit(_free_flow, e * t, k2, np.empty(n, dtype=np.complex128))
-            for e in eps for t in times)
-    pending = next(jobs, None)
-    try:
-        for e in eps:
-            gauge = plane_wave(g, -0.5 * b / e, np.empty(n, dtype=np.complex128))
-            # The sign (-1)^j rides on the gauge; it is real, so the
-            # conjugate gauge undoes both.
-            gauge[1::2] *= -1.0
-            s = gauge * phi.values
-            w = np.fft.fft(np.concatenate((s[0::2], s[::-2])))
-            del s
-            w *= 0.5
-            np.conjugate(gauge, out=gauge)
-            for t in times:
-                job, pending = pending, next(jobs, None)
-                m = job.result()
-                del job
-                m_neg = _at_minus_q(m)
-                even = m + m_neg
-                even *= w
-                np.subtract(m, m_neg, out=m_neg)
-                del m
-                w_neg = _at_minus_q(w)
-                # numpy's complex product is not bit-symmetric in its
-                # operands; twiddle first keeps reports byte-stable.
-                np.multiply(twiddle, w_neg, out=w_neg)
-                m_neg *= w_neg
-                del w_neg
-                even += m_neg
-                del m_neg
-                v = np.fft.ifft(even, out=even)
-                del even
-                u = np.empty(n, dtype=np.complex128)
-                u[0::2] = v[:n // 2]
-                u[::-2] = v[n // 2:]
-                del v
-                u *= gauge
-                u *= np.exp(0.25j * b * b * t / e)
-                out = _adopt(g, u)
-                del u
-                yield e, t, out
-                # Hold no state while the next is built: a caller that
-                # drops its copy frees the memory.
-                del out
-    finally:
-        if pending is not None:
-            pending.exception()  # waits out the job in flight, raising nothing
+    top = n * (math.pi / g.L)  # the q = 0 mode's wavenumber, as gated
+    for e in eps:
+        gauge = plane_wave(g, -0.5 * b / e, np.empty(n, dtype=np.complex128))
+        # The sign (-1)^j rides on the gauge; it is real, so the
+        # conjugate gauge undoes both.
+        gauge[1::2] *= -1.0
+        s = gauge * phi.values
+        w = np.fft.fft(np.concatenate((s[0::2], s[::-2])))
+        del s
+        w *= 0.5
+        np.conjugate(gauge, out=gauge)
+        # X = W + tau W(-q) and Y = W - tau W(-q), tau the twiddle: the
+        # pair's multiplier m then mixes as m X + m(-q) Y.
+        y = np.multiply(twiddle, _at_minus_q(w))
+        x = w + y
+        np.subtract(w, y, out=y)
+        del w
+        for t in times:
+            # m_q = c_(N-q) for q >= 1 and m(-q) = c_q; Y_0 = 0, so the
+            # Nyquist multiplier m_0 meets X_0 alone.
+            c = _chirp(g, e * t, np.empty(n, dtype=np.complex128))
+            v = np.empty(n, dtype=np.complex128)
+            v[0] = np.exp(-1j * (e * t * top * top)) * x[0]
+            np.multiply(c[:0:-1], x[1:], out=v[1:])
+            c *= y
+            v += c
+            del c
+            v = np.fft.ifft(v, out=v)
+            u = np.empty(n, dtype=np.complex128)
+            u[0::2] = v[:n // 2]
+            u[::-2] = v[n // 2:]
+            del v
+            u *= gauge
+            u *= np.exp(0.25j * b * b * t / e)
+            out = _adopt(g, u)
+            del u
+            yield e, t, out
+            # Hold no state while the next is built: a caller that
+            # drops its copy frees the memory.
+            del out
 
 
 def spectral_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
@@ -411,7 +372,7 @@ def remainder_norm(phi: WaveFunction, p: EvolutionParams) -> float:
     """Distance between the viscous evolution and the two-wave form."""
     u = spectral_evolve(phi, p)
     v = asymptotic_evolve(phi, p)
-    return norm(WaveFunction(phi.grid, u.values - v.values))
+    return norm(_adopt(phi.grid, u.values - v.values))
 
 
 def limit_group_V(phi: WaveFunction, b: float, t: float) -> WaveFunction:

@@ -211,7 +211,7 @@ def standard_observables(grid: Grid, kinds: tuple[str, ...], cut: float) -> dict
             out[kind] = BoundedFunction(grid, vals, 1.0)
         elif kind == "projector":
             d = get_preset("bump12", grid)
-            unit = WaveFunction(grid, d.values / norm(d))
+            unit = _adopt(grid, d.values / norm(d))
             out[kind] = FiniteRankObservable(coeffs=(1.0,), directions=(unit,))
         else:
             raise ValidationError(f"unknown observable kind {kind!r}")
@@ -316,8 +316,8 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
     directions: list[WaveFunction] = []
     coeffs: list[float] = []
     for j, (d, m) in enumerate(zip(defects, gaps_sq)):
-        # Gram-Schmidt in place on one private copy of the defect.
-        res = WaveFunction(grid, d.values / math.sqrt(m))
+        # Gram-Schmidt in place on the fresh quotient, not on the defect.
+        res = _adopt(grid, d.values / math.sqrt(m))
         for q in directions:
             res.values -= inner(q, res) * q.values
         n = norm(res)

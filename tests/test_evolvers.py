@@ -1,10 +1,6 @@
 import math
-import threading
-import time
 import tracemalloc
 import warnings
-import weakref
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -101,6 +97,21 @@ def test_spectral_refuses_underresolved():
     phi = get_preset("xexp", g)
     with pytest.raises(ResolutionError):
         spectral_evolve(phi, EvolutionParams(1e-6, 1.0, 1.0))
+
+
+def test_spectral_runs_where_the_squared_wavenumber_overflows():
+    # At L = 2e-154, (pi / L)^2 overflows, but the phases eps t (k pi / L)^2
+    # are moderate and pass the top-mode gate: the walk must not form
+    # the square on its own.
+    g = make_grid(2e-154, 2 ** 10)
+    eps, b, t = 1e-170, 1e-20, 1e-137
+    k = math.pi / g.L
+    phi = WaveFunction(g, np.exp(0.5j * b / eps * g.x) * np.sin(k * g.x) * math.sqrt(2.0 / g.L))
+    out = spectral_evolve(phi, EvolutionParams(eps, b, t))
+    phase = b * b * t / (4.0 * eps) - eps * t * k * k
+    peak = np.max(np.abs(phi.values))
+    np.testing.assert_allclose(out.values / peak, np.exp(1j * phase) * phi.values / peak,
+                               rtol=0, atol=1e-12)
 
 
 def test_spectral_t0_identity(small):
@@ -231,11 +242,11 @@ def _count_calls(monkeypatch, owner, names):
 def test_rungs_run_one_forward_fft_per_rung(monkeypatch, small):
     g, phi = small
     ffts = _count_calls(monkeypatch, evolvers.np.fft, ("fft", "ifft"))
-    multipliers = _count_calls(monkeypatch, evolvers, ("_free_flow",))
+    chirps = _count_calls(monkeypatch, evolvers, ("_chirp",))
     states = list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
     assert len(states) == 9
     assert ffts == {"fft": 3, "ifft": 9}
-    assert multipliers == {"_free_flow": 9}
+    assert chirps == {"_chirp": 9}  # one per pair, even where eps*t repeats
 
 
 def test_spectral_ladder_refuses_bad_times(monkeypatch, small):
@@ -251,189 +262,78 @@ def test_spectral_ladder_refuses_bad_times(monkeypatch, small):
     assert ffts == {"fft": 0, "ifft": 0}
 
 
-def _inline(fn, *args):
-    """The worker's seam run on the caller's thread: the serial walk."""
-    job = Future()
-    job.set_result(fn(*args))
-    return job
-
-
-def _within(seconds, fn):
-    """fn() on a helper thread, failing the test if it has not returned
-    after ``seconds``; returns its result or raises its error."""
-    box = {}
-
-    def call():
-        try:
-            box["value"] = fn()
-        except BaseException as e:
-            box["error"] = e
-
-    th = threading.Thread(target=call, daemon=True)
-    th.start()
-    th.join(seconds)
-    assert not th.is_alive(), f"still running after {seconds} s"
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-@pytest.mark.parametrize("b", [1.0, -1.0])
-def test_worker_bytes_equal_inline_walk(monkeypatch, small, b):
-    g, phi = small
-    threaded = [(e, t, u.values.tobytes())
-                for e, t, u in spectral_ladder(phi, LADDER_EPS, b, LADDER_TIMES)]
-    monkeypatch.setattr(evolvers, "_submit", _inline)
-    jobs = _count_calls(monkeypatch, evolvers, ("_submit",))
-    inline = [(e, t, u.values.tobytes())
-              for e, t, u in spectral_ladder(phi, LADDER_EPS, b, LADDER_TIMES)]
-    assert jobs == {"_submit": 9}  # one multiplier per pair, and nothing else
-    assert inline == threaded
-
-
-# _free_flow fails on the worker; plane_wave fails first in the caller's
-# own first gauge, with the first multiplier in flight.
-@pytest.mark.parametrize("name", ["_free_flow", "plane_wave"])
-def test_worker_error_reaches_caller(monkeypatch, small, name):
-    g, phi = small
-
-    def broken(*args):
-        raise FloatingPointError(f"{name} failed")
-
-    monkeypatch.setattr(evolvers, name, broken)
-    with pytest.raises(FloatingPointError, match=name):
-        _within(30, lambda: list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES)))
-    monkeypatch.undo()
-    # The worker survives the error and serves the next ladder.
-    assert len(_within(30, lambda: list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES)))) == 9
-
-
-def test_closed_ladder_leaves_no_job_running(monkeypatch, small):
-    g, phi = small
-    free_flow, submit = evolvers._free_flow, evolvers._submit
-    jobs = []
-
-    def slow(*args):
-        time.sleep(0.05)
-        return free_flow(*args)
-
-    def recorded(*args):
-        jobs.append(submit(*args))
-        return jobs[-1]
-
-    monkeypatch.setattr(evolvers, "_free_flow", slow)
-    monkeypatch.setattr(evolvers, "_submit", recorded)
-    walk = spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES)
-    next(walk)
-    walk.close()
-    assert len(jobs) == 2
-    assert all(job.done() for job in jobs)
-
-
-def test_spent_multiplier_is_freed(monkeypatch, small):
-    # A finished Future holds its multiplier as its result; the walk must
-    # hold neither past its pair.  At each yield the one multiplier alive
-    # is the next pair's, in flight, even where the next pair repeats an
-    # earlier eps*t (0.4 * 0.5 = 0.2 * 1.0).
-    g, phi = small
-    submit, made = evolvers._submit, []
-
-    def recorded(fn, s, k2, out):
-        made.append(weakref.ref(out))
-        return submit(fn, s, k2, out)
-
-    monkeypatch.setattr(evolvers, "_submit", recorded)
-    eps, times = (0.4, 0.2), (0.5, 1.0)
-    for i, _ in enumerate(spectral_ladder(phi, eps, 1.0, times)):
-        alive = [j for j, ref in enumerate(made) if ref() is not None]
-        assert alive == ([i + 1] if i < 3 else [])
-    assert len(made) == 4
-
-
-def test_ladders_share_one_worker(small):
-    g, phi = small
-    list(spectral_ladder(phi, (0.4,), 1.0, (0.5,)))
-    before = threading.active_count()
-    for _ in range(50):
-        list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
-    assert threading.active_count() == before
-    names = [th.name for th in threading.enumerate()]
-    assert sum(name.startswith("halfline-exp") for name in names) == 1
-
-
-def test_caller_thread_builds_states_and_runs_ffts(monkeypatch, small):
-    g, phi = small
-    threads = {"WaveFunction": set(), "fft": set(), "ifft": set(), "plane_wave": set(),
-               "_free_flow": set()}
-
-    def on_thread(name, fn):
-        def wrapper(*args, **kwargs):
-            threads[name].add(threading.get_ident())
-            return fn(*args, **kwargs)
-        return wrapper
-
-    # A state is built either by the public constructor or by adopting
-    # the walk's own fresh array.
-    monkeypatch.setattr(WaveFunction, "__init__", on_thread("WaveFunction", WaveFunction.__init__))
-    monkeypatch.setattr(evolvers, "_adopt", on_thread("WaveFunction", evolvers._adopt))
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(evolvers.np.fft, name, on_thread(name, getattr(evolvers.np.fft, name)))
-    for name in ("plane_wave", "_free_flow"):
-        monkeypatch.setattr(evolvers, name, on_thread(name, getattr(evolvers, name)))
-    list(spectral_ladder(phi, LADDER_EPS, -1.0, LADDER_TIMES))
-    caller = {threading.get_ident()}
-    assert (threads["WaveFunction"] == threads["fft"] == threads["ifft"]
-            == threads["plane_wave"] == caller)
-    assert threads["_free_flow"] and not threads["_free_flow"] & caller
-
-
-def _complex_exps(monkeypatch, n):
-    """The thread of every complex np.exp with n values, in call order."""
+def _n_point_exps(monkeypatch, n):
+    """A list that counts every complex np.exp with n values."""
     seen = []
     exp = np.exp
 
     def counted(*args, **kwargs):
         out = exp(*args, **kwargs)
         if np.iscomplexobj(out) and np.size(out) == n:
-            seen.append(threading.get_ident())
+            seen.append(out.shape)
         return out
 
     monkeypatch.setattr(np, "exp", counted)
     return seen
 
 
-def test_n_point_exponentials_are_the_multipliers_alone(monkeypatch, small, medium):
-    # Every linear phase is a plane_wave (two short tables), so the only
-    # N-point exponentials left are the multipliers, one per pair, all on
-    # the worker.  The twiddle is cached per N beforehand.
+def test_ladder_runs_no_n_point_exponential(monkeypatch, small, medium):
+    # Every linear phase is a plane_wave and every free-flow multiplier a
+    # chirp, each built from small tables.  The twiddle is cached per N
+    # beforehand.
     g, phi = small
     evolvers._twiddle(g.N)
-    seen = _complex_exps(monkeypatch, g.N)
-    list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))
-    assert len(seen) == len(LADDER_EPS) * len(LADDER_TIMES) == 9
-    assert threading.get_ident() not in seen
-    seen.clear()
+    seen = _n_point_exps(monkeypatch, g.N)
+    assert len(list(spectral_ladder(phi, LADDER_EPS, 1.0, LADDER_TIMES))) == 9
     asymptotic_evolve(phi, EvolutionParams(0.3, 1.0, 0.5))
     assert seen == []
 
     g, phi = medium
     evolvers._twiddle(g.N)
-    seen = _complex_exps(monkeypatch, g.N)
+    seen = _n_point_exps(monkeypatch, g.N)
     cfg = SweepConfig(preset="xexp", L=g.L, N=g.N, b=1.0, times=(0.5, 1.0), eps=(0.3, 0.15))
     sweep_theorem1(cfg)
-    assert len(seen) == len(cfg.eps) * len(cfg.times) == 4
-    assert threading.get_ident() not in seen
+    assert seen == []
 
 
-def test_free_flow_allocates_no_n_point_array():
-    # The worker writes only into the caller's array: a temporary of N
-    # complex values (16 N bytes) would stay resident in its malloc arena.
+_WIDE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+@pytest.mark.skipif(not _WIDE, reason="long double is no wider than double here")
+@pytest.mark.parametrize("s", [1e-4, 0.1, 3.7])
+def test_chirp_matches_extended_precision(s):
+    # Against e^(-i theta j^2) in long double, the chirp's error stays
+    # within 1.25 theta N^2 u plus a few ulp.  From N = 2^12 on, where
+    # theta N^2 u outgrows the ulp, it is no worse than the N-point np.exp
+    # it replaced, which reaches up to 1.8 theta N^2 u.
+    u = np.finfo(np.float64).eps
+    L = 40.0
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for bits in range(3, 18):
+        n = 1 << bits
+        g = make_grid(L, n)
+        chirp = evolvers._chirp(g, s, np.empty(n, dtype=np.complex128))
+        j = np.arange(n)
+        direct = np.exp(-1j * s * (j * (math.pi / L)) ** 2)
+        phase = np.longdouble(s) * (pi / np.longdouble(L)) ** 2 * j.astype(np.longdouble) ** 2
+        ref = np.cos(phase) - np.clongdouble(1j) * np.sin(phase)
+        err = float(np.max(np.abs(chirp.astype(np.clongdouble) - ref)))
+        err_direct = float(np.max(np.abs(direct.astype(np.clongdouble) - ref)))
+        scale = s * (math.pi / L) ** 2 * n * n * u
+        assert err <= 1.25 * scale + 4 * u, (n, err, scale)
+        if bits >= 12:
+            assert err <= err_direct, (n, err, err_direct)
+
+
+def test_chirp_allocates_no_n_point_array():
+    # The chirp writes into the caller's array; its tables hold about
+    # N^(2/3) values each, so no N-point temporary (16 N bytes) is made.
     n = 2 ** 16
-    k2 = (np.arange(n, 0, -1) * (math.pi / 40.0)) ** 2
+    g = make_grid(40.0, n)
     out = np.empty(n, dtype=np.complex128)
     tracemalloc.start()
     try:
-        evolvers._free_flow(0.1, k2, out)
+        evolvers._chirp(g, 0.1, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,12 +6,10 @@ per-layer report, so each pair is pinned here, as is every name the
 benchmark reads from the package's top level.  And `import halfline`
 stays free of scipy, whose import alone costs more than the package's
 whole set-up, and free of BLAS-backed reductions, whose summation order
-follows the BLAS thread count into the report bytes.  It starts no
-thread; the spectral ladder's worker, a one-thread ThreadPoolExecutor,
-starts with the first ladder.  Its thread is not a daemon: the
-interpreter's exit lets it finish the one job in flight and then ends,
-and a forked child, which inherits the pool but not its thread, starts
-its own.
+follows the BLAS thread count into the report bytes.  Neither the
+import nor a spectral ladder starts a thread or loads
+``concurrent.futures``: the whole walk runs on the caller's thread, so
+a forked child runs ladders as its parent does.
 """
 
 import importlib
@@ -74,7 +72,6 @@ def test_import_leaves_scipy_out():
 
 
 def test_import_leaves_the_worker_pool_out():
-    # concurrent.futures comes with the first spectral ladder, not the import.
     assert _python(
         "import sys, halfline; print('concurrent.futures' in sys.modules)"
     ) == "False"
@@ -95,35 +92,16 @@ def walk():
     return spectral_ladder(phi, (0.4, 0.2), 1.0, (0.5, 1.0))
 """
 
-# A multiplier that takes half a second, defined in a namespace of its
-# own: one defined in __main__ would keep the whole script, open walks
-# included, alive past shutdown from the worker's frame.
-_SLOW = """
-import time
-def slow(*args):
-    time.sleep(0.5)
-    return free_flow(*args)
-"""
 
-
-def test_process_exits_after_ladders():
-    # One walk run out, and one left open at its first state with its
-    # next multiplier still on the worker when the interpreter exits, so
-    # that the open walk is closed during shutdown.
-    assert _python(_LADDER + f"""
-import halfline.evolvers as ev
-print(len(list(walk())))
-ns = {{'free_flow': ev._free_flow}}
-exec({_SLOW!r}, ns)
-ev._free_flow = ns['slow']
-w = walk()
-next(w)
-""") == "4"
+def test_ladder_starts_no_thread():
+    assert _python(_LADDER + """
+import sys, threading
+print(len(list(walk())), threading.active_count(), 'concurrent.futures' in sys.modules)
+""") == "4 1 False"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_a_ladder():
-    # The child inherits the parent's pool but not its worker thread.
     assert _python(_LADDER + """
 import os, signal
 list(walk())
