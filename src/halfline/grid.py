@@ -114,6 +114,15 @@ def _adopt(grid: Grid, v: np.ndarray) -> WaveFunction:
     return u
 
 
+def _scaled(v: np.ndarray, s: float, out: np.ndarray | None = None) -> np.ndarray:
+    """v / s for a real s > 0, into out (fresh by default, or v itself).
+    numpy divides by s + 0j as a product with 1/s, so the float view times
+    1/s gives the same values up to the sign of a zero."""
+    out = np.empty_like(v) if out is None else out
+    np.multiply(v.view(np.float64), 1.0 / s, out=out.view(np.float64))
+    return out
+
+
 @dataclass
 class BoundedFunction:
     """Real or complex bounded multiplier sampled on a grid.
@@ -203,7 +212,7 @@ def sample_at(u: WaveFunction, pos: np.ndarray) -> np.ndarray:
     g = u.grid
     pos = np.asarray(pos, dtype=np.float64)
     q = pos / g.h - 0.5
-    k = np.clip(np.floor(q).astype(np.int64), 0, g.N - 2)
+    k = np.minimum(np.maximum(np.floor(q).astype(np.int64), 0), g.N - 2)
     d = q - k
     out = (1.0 - d) * u.values[k] + d * u.values[k + 1]
     inside = (pos >= 0.0) & (pos <= g.L)
@@ -221,20 +230,24 @@ def _slice_blend(u: WaveFunction, a: float, step: int) -> np.ndarray:
     slices, contiguous or reversed.  The at most two nodes with k = -1 or
     k = N-1 may sit on a half cell or beyond an end of [0, L]; they go to
     ``sample_at`` at a + step * x_j, so the inside test is the general
-    rule's.  Every other node lies beyond [0, L] and stays zero.
+    rule's.  Every other node lies beyond [0, L] and is zero.
     """
     g = u.grid
     n = g.N
     q0 = a / g.h if step > 0 else a / g.h - 1.0
-    out = np.zeros(n, dtype=np.complex128)
     # Past 4N every node is beyond [0, L]; this also catches q0 = inf.
     if not abs(q0) < 4 * n:
-        return out
+        return np.zeros(n, dtype=np.complex128)
     m = math.floor(q0)
     d = q0 - m
     lo, hi = sorted((-m * step, (n - 2 - m) * step))
     lo, hi = max(lo, 0), min(hi, n - 1)
-    if lo <= hi:
+    out = np.empty(n, dtype=np.complex128)
+    if lo > hi:
+        out.fill(0.0)
+    else:
+        out[:lo] = 0.0
+        out[hi + 1:] = 0.0
         k = min(m + step * lo, m + step * hi)
         seg = u.values[k:k + hi - lo + 2][::step]
         # Node lo + i is (1 - d) seg[i] + d seg[i + 1] for step = 1 and
@@ -291,8 +304,10 @@ def indicator_project(u: WaveFunction, a: float, b: float) -> WaveFunction:
     # x is sorted, so the nodes in [a, b] are the one slice [lo, hi).
     lo = np.searchsorted(u.grid.x, a, "left")
     hi = np.searchsorted(u.grid.x, b, "right")
-    out = np.zeros(u.grid.N, dtype=np.complex128)
+    out = np.empty(u.grid.N, dtype=np.complex128)
+    out[:lo] = 0.0
     out[lo:hi] = u.values[lo:hi]
+    out[hi:] = 0.0
     return _adopt(u.grid, out)
 
 

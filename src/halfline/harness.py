@@ -23,6 +23,7 @@ from .grid import (
     Grid,
     WaveFunction,
     _adopt,
+    _scaled,
     indicator_project,
     inner,
     make_grid,
@@ -211,7 +212,7 @@ def standard_observables(grid: Grid, kinds: tuple[str, ...], cut: float) -> dict
             out[kind] = BoundedFunction(grid, vals, 1.0)
         elif kind == "projector":
             d = get_preset("bump12", grid)
-            unit = _adopt(grid, d.values / norm(d))
+            unit = _adopt(grid, _scaled(d.values, norm(d)))
             out[kind] = FiniteRankObservable(coeffs=(1.0,), directions=(unit,))
         else:
             raise ValidationError(f"unknown observable kind {kind!r}")
@@ -317,13 +318,13 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
     coeffs: list[float] = []
     for j, (d, m) in enumerate(zip(defects, gaps_sq)):
         # Gram-Schmidt in place on the fresh quotient, not on the defect.
-        res = _adopt(grid, d.values / math.sqrt(m))
+        res = _adopt(grid, _scaled(d.values, math.sqrt(m)))
         for q in directions:
             res.values -= inner(q, res) * q.values
         n = norm(res)
         if n < GS_DROP_TOL:
             continue
-        res.values /= n
+        _scaled(res.values, n, out=res.values)
         directions.append(res)
         coeffs.append(1.0 if j % 2 == 0 else -1.0)
     probe = FiniteRankObservable(coeffs=tuple(coeffs), directions=tuple(directions))

@@ -20,6 +20,7 @@ from .grid import (
     BoundedFunction,
     Grid,
     WaveFunction,
+    _scaled,
     density,
     indicator_project,
     mass,
@@ -124,7 +125,7 @@ def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState
     else:
         # v is this call's own fresh state: it becomes the profile,
         # normalized in place.
-        v.values /= math.sqrt(alpha)
+        _scaled(v.values, math.sqrt(alpha), out=v.values)
         profile = v
     return CompAlgebraState(
         alpha=alpha,
@@ -142,11 +143,11 @@ def destruction_time(phi: WaveFunction, b: float) -> float:
     exceeds MASS_FLOOR, divided by b.
     """
     check_params(b=b, inflow=True)
-    cum = phi.grid.h * np.cumsum(density(phi))
-    idx = np.nonzero(cum > MASS_FLOOR)[0]
-    if idx.size == 0:
+    # h * cumsum of a density never decreases: one search finds the node.
+    i = np.searchsorted(phi.grid.h * np.cumsum(density(phi)), MASS_FLOOR, "right")
+    if i == phi.grid.N:
         raise ValidationError("state carries no mass above MASS_FLOOR")
-    return float(phi.grid.x[idx[0]]) / b
+    return float(phi.grid.x[i]) / b
 
 
 @dataclass(frozen=True)

@@ -183,12 +183,22 @@ def _smooth_wave(g, seed):
     return WaveFunction(g, c @ np.sin(k * np.pi * g.x / g.L))
 
 
+def _dirty_heap(n):
+    """Allocate and free a few nonzero N-point arrays, so that a node a
+    sampler leaves unwritten in its np.empty result reads as garbage,
+    not as a lucky zero."""
+    for _ in range(4):
+        np.full(n, 3.0 - 7.0j)
+
+
 def _assert_general_rule(u, s):
-    """shift_sample(u, s) and reflect_sample(u, s) against sample_at."""
+    """shift_sample(u, s) and reflect_sample(u, s) against sample_at, which
+    is exactly zero outside [0, L], each on a dirtied heap."""
     g = u.grid
     peak = np.max(np.abs(u.values))
-    for got, want in ((shift_sample(u, s).values, sample_at(u, g.x + s)),
-                      (reflect_sample(u, s).values, sample_at(u, s - g.x))):
+    for sampler, pos in ((shift_sample, g.x + s), (reflect_sample, s - g.x)):
+        _dirty_heap(g.N)
+        got, want = sampler(u, s).values, sample_at(u, pos)
         assert np.max(np.abs(got - want)) <= 1e-13 * peak
         assert np.array_equal(got == 0.0, want == 0.0)
 
@@ -212,6 +222,15 @@ def test_shift_and_reflect_follow_the_general_rule(N, seed, frac):
         lambda g: np.nextafter(g.h / 2 - g.L, -np.inf),
         lambda g: np.nextafter(g.h / 2, -np.inf),
         lambda g: np.nextafter(2 * g.L - g.h / 2, np.inf),
+        # no node inside [0, L]: the blend is empty
+        lambda g: 3 * g.L, lambda g: -3 * g.L,
+        # |s| just under and just over L
+        lambda g: np.nextafter(g.L, 0.0), lambda g: np.nextafter(g.L, np.inf),
+        lambda g: -np.nextafter(g.L, 0.0), lambda g: -np.nextafter(g.L, np.inf),
+        # grid coordinate just under, at and past 4N, where the early return starts
+        lambda g: (4 * g.N - 0.5) * g.h, lambda g: -(4 * g.N - 0.5) * g.h,
+        lambda g: (4 * g.N + 0.5) * g.h, lambda g: -(4 * g.N - 1.5) * g.h,
+        lambda g: 4 * g.L, lambda g: -4 * g.L,
     ],
 )
 def test_shift_and_reflect_at_cell_and_domain_edges(N, offset):
@@ -244,6 +263,21 @@ def test_shift_and_reflect_send_at_most_two_nodes_to_sample_at(monkeypatch):
     shift_sample(u, 1.0 + 0.3 * g.h)
     reflect_sample(u, g.L - 0.3 * g.h)
     assert sizes and sum(sizes) <= 4 and max(sizes) <= 2
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(-5.0, 15.0), (-5.0, 3.0), (3.0, 15.0), (-10.0, -1.0), (11.0, 15.0),
+     (2.0, 2.0), (0.0, 10.0), (4.01, 4.02)],
+)
+def test_indicator_project_leaves_no_node_unwritten(a, b):
+    g = make_grid(10.0, 64)
+    u = _random_wave(g, 7)
+    _dirty_heap(g.N)
+    got = indicator_project(u, a, b).values
+    inside = (g.x >= a) & (g.x <= b)
+    assert np.all(got[~inside] == 0j)
+    assert np.array_equal(got[inside], u.values[inside])
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,7 +17,7 @@ from halfline import (
     reflect_W,
     wold_projectors,
 )
-from halfline.grid import BoundedFunction, indicator_project
+from halfline.grid import BoundedFunction, indicator_project, shift_sample
 from halfline.limit_dynamics import (
     ALPHA_FLOOR,
     MASS_FLOOR,
@@ -127,6 +127,19 @@ def test_profile_is_normalized(medium):
     assert norm(st.shift_profile) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["bump12", "bump23", "xexp"])
+@pytest.mark.parametrize("b,t", [(1.0, 0.5), (0.5, 1.7), (2.0, 0.6)])
+def test_profile_is_the_shift_divided_by_sqrt_alpha(medium, name, b, t):
+    # The profile is scaled by 1/sqrt(alpha) on the float view; numpy's
+    # complex division by sqrt(alpha) + 0j must give the same numbers.
+    g = medium[0]
+    phi = get_preset(name, g)
+    st = comp_state_evolve(phi, b, t)
+    assert st.alpha > ALPHA_FLOOR
+    want = shift_sample(phi, b * t).values / math.sqrt(st.alpha)
+    assert np.array_equal(st.shift_profile.values, want)
+
+
 def test_destruction_time_frozen_values(medium):
     g, xe, b12 = medium
     # bump12 support starts at 1: the first node past it trips the
@@ -141,6 +154,30 @@ def test_destruction_time_frozen_values(medium):
     with pytest.raises(ValidationError):
         destruction_time(zero, 1.0)
     assert MASS_FLOOR == 1e-12
+
+
+def test_destruction_time_at_its_edges():
+    # h = 1, and (1e-6)^2 is MASS_FLOOR exactly: a node carrying 1e-6
+    # alone brings the cumulative mass to the floor, not above it.
+    g = make_grid(64.0, 64)
+    assert g.h == 1.0 and (1e-6) ** 2 == MASS_FLOOR
+    last = np.zeros(g.N)
+    last[-1] = 1e-3
+    assert destruction_time(WaveFunction(g, last), 1.0) == g.x[-1]
+    at_floor = np.zeros(g.N)
+    at_floor[-1] = 1e-6
+    with pytest.raises(ValidationError, match="^state carries no mass above MASS_FLOOR$"):
+        destruction_time(WaveFunction(g, at_floor), 1.0)
+    # The floor is reached at node 10 and crossed at node 23, or at node
+    # 17 once that node carries even 1e-18 of mass.
+    chosen = np.zeros(g.N, dtype=np.complex128)
+    chosen[10] = 1e-6
+    chosen[23] = 1e-6
+    assert destruction_time(WaveFunction(g, chosen), 2.0) == g.x[23] / 2.0
+    chosen[17] = 1e-9j
+    assert destruction_time(WaveFunction(g, chosen), 2.0) == g.x[17] / 2.0
+    with pytest.raises(ValidationError, match="^state carries no mass above MASS_FLOOR$"):
+        destruction_time(WaveFunction(g, np.zeros(g.N)), 1.0)
 
 
 def test_mult_expectation_limit_against_quadrature():

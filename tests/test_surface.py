@@ -28,6 +28,7 @@ _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _TRACER = _BENCH / "tracer.py"
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "halfline"
 _BLAS_CALL = re.compile(r"\bnp\.(vdot|dot|vecdot|matmul|inner|tensordot|linalg)\b")
+_STATE_DIVISION = re.compile(r"\.values\s*/(?!/)")
 
 
 def _layers():
@@ -136,3 +137,21 @@ def test_no_blas_reduction(path):
              if _BLAS_CALL.search(line)]
     assert calls == []
     assert _matmul_lines(source) == []
+
+
+def test_state_division_finder():
+    found = [bool(_STATE_DIVISION.search(line)) for line in
+             ("u.values /= n", "d.values / norm(d)", "v.values/2", "k = v.values // 2",
+              "_scaled(v.values, s, out=v.values)")]
+    assert found == [True, True, True, False, False]
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_state_divided_by_a_scalar(path):
+    # A state is scaled by a real through grid._scaled alone: a product
+    # of the float view with the reciprocal, the same numbers as numpy's
+    # complex division without its cost.
+    lines = [f"{n}: {line.strip()}"
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if _STATE_DIVISION.search(line)]
+    assert lines == []
