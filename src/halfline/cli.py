@@ -23,7 +23,7 @@ from .evolvers import (
     kernel_evolve,
     spectral_evolve,
 )
-from .grid import _adopt, boundary_value, make_grid, mass, norm
+from .grid import WaveFunction, _adopt, boundary_value, make_grid, mass, norm
 from .harness import CLAIMS, SweepConfig, emit_report, require_inside, run_claim
 from .limit_dynamics import (
     comp_state_evolve,
@@ -52,6 +52,17 @@ def _number(key: str, val) -> float:
     raise ValidationError(f"--{key} expects a number, got {val!r}")
 
 
+def _integer(key: str, val) -> int:
+    """Convert one option value to an integer, exact for an int or digits."""
+    n = _number(key, val)
+    if not n.is_integer():
+        raise ValidationError(f"--{key} expects an integer, got {val!r}")
+    try:
+        return int(val)  # exact above 2^53
+    except ValueError:  # a float string, "1024.0" or "1e3"
+        return int(n)
+
+
 def _parse_floats(key: str, val) -> tuple[float, ...]:
     if isinstance(val, str):
         val = [p for p in val.split(",") if p.strip()]
@@ -60,12 +71,25 @@ def _parse_floats(key: str, val) -> tuple[float, ...]:
     raise ValidationError(f"--{key} expects a comma list of numbers, got {val!r}")
 
 
+def _text(key: str, val) -> str:
+    if isinstance(val, str):
+        return val
+    raise ValidationError(f"--{key} expects a string, got {val!r}")
+
+
+_READERS = {
+    "L": _number, "b": _number, "epsilon": _number, "t": _number,
+    "N": _integer, "times": _parse_floats, "eps": _parse_floats,
+    "preset": _text, "g": _text, "out": _text, "out_dir": _text,
+}
+
+
 def _load_config(path: str, command: str, allowed) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ValidationError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, too deep, an int too long
         raise ValidationError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path} must be a flat JSON object")
@@ -78,7 +102,8 @@ def _load_config(path: str, command: str, allowed) -> dict:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge flag values over config file values and check required ones.
+    """Merge flag values over config file values, check required ones and
+    read each value through its reader; engine and claim are checked where used.
 
     A config file may set any option of the command's parser, the
     parser's own dests, except --config itself and --json.
@@ -89,20 +114,11 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     for key in _REQUIRED[command]:
         if merged.get(key) is None:
             raise ValidationError(f"missing required option --{key.replace('_', '-')}")
-    merged.setdefault("L", REFERENCE_L)
-    merged.setdefault("N", REFERENCE_N)
-    for key in ("L", "b", "epsilon", "t"):
-        if merged.get(key) is not None:
-            merged[key] = _number(key, merged[key])
-    n = merged["N"]
-    if isinstance(n, bool) or not isinstance(n, int):  # an int stays exact
-        n = _number("N", n)
-        if not n.is_integer():
-            raise ValidationError(f"--N expects an integer, got {n!r}")
-    merged["N"] = args.N = int(n)  # main names args.N if the grid does not fit
-    for key in ("times", "eps"):
-        if merged.get(key) is not None:
-            merged[key] = _parse_floats(key, merged[key])
+    merged = {"L": REFERENCE_L, "N": REFERENCE_N, **merged}
+    for key, val in merged.items():
+        if key in _READERS and val is not None:
+            merged[key] = _READERS[key](key.replace("_", "-"), val)
+    args.N = merged["N"]  # main names args.N if the grid does not fit
     return merged
 
 
@@ -133,7 +149,7 @@ def _dump_wave(u: WaveFunction, path: str) -> None:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     opt = _resolve(args, "evolve")
-    engine = opt.get("engine") or "spectral"
+    engine = "spectral" if opt.get("engine") is None else opt["engine"]
     if engine not in ENGINES:
         raise ValidationError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     grid = make_grid(opt["L"], opt["N"])
@@ -165,7 +181,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if opt.get("out"):
         with _writing(opt["out"]):
             _dump_wave(u, opt["out"])
-        pairs.append(("out", str(opt["out"])))
+        pairs.append(("out", opt["out"]))
     _print_result(pairs, args.json)
     return 0
 
@@ -218,8 +234,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if verdicts["all_pass"] else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse's refusals take main's one error: path
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halfline",
         description="Viscous transport on the half line and its limit dynamics",
     )
@@ -227,29 +248,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--preset", help=f"initial profile, one of {PRESET_NAMES}")
-        sp.add_argument("--L", type=float, help="interval length (default 40)")
-        sp.add_argument("--N", type=int, help="cell count, power of two (default 65536)")
-        sp.add_argument("--b", type=float, help="drift coefficient")
+        sp.add_argument("--L", help="interval length (default 40)")
+        sp.add_argument("--N", help="cell count, power of two (default 65536)")
+        sp.add_argument("--b", help="drift coefficient")
         sp.add_argument("--config", help="flat JSON file with option values")
 
     pe = sub.add_parser("evolve", help="run one evolution and report its invariants")
     common(pe)
-    pe.add_argument("--epsilon", type=float, help="viscosity")
-    pe.add_argument("--t", type=float, help="evolution time")
-    pe.add_argument("--engine", choices=ENGINES, help="which route (default spectral)")
+    pe.add_argument("--epsilon", help="viscosity")
+    pe.add_argument("--t", help="evolution time")
+    pe.add_argument("--engine", help=f"which route, one of {ENGINES} (default spectral)")
     pe.add_argument("--out", help="write the final wave to this CSV path")
     pe.set_defaults(func=cmd_evolve)
 
     pl = sub.add_parser("limit", help="limit objects at one time: branches, state, stopping")
     common(pl)
-    pl.add_argument("--t", type=float, help="evolution time")
+    pl.add_argument("--t", help="evolution time")
     pl.set_defaults(func=cmd_limit)
     for sp in (pe, pl):
         sp.add_argument("--json", action="store_true", help="print JSON instead of key=value")
 
     ps = sub.add_parser("sweep", help="run a viscosity ladder for one claim keyword")
     common(ps)
-    ps.add_argument("--claim", choices=CLAIMS, help="which statement to exercise")
+    ps.add_argument("--claim", help=f"which statement to exercise, one of {CLAIMS}")
     ps.add_argument("--times", help="comma list of times, e.g. 0.5,1,2")
     ps.add_argument("--eps", help="strictly decreasing comma list of viscosities")
     ps.add_argument("--out-dir", dest="out_dir", help="directory for CSV/JSON reports")
@@ -259,12 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

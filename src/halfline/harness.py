@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, check_params
-from .evolvers import ladder_gates, limit_group_V, spectral_ladder, two_wave
+from .evolvers import limit_group_V, spectral_ladder, two_wave
 from .grid import (
     BoundedFunction,
     Grid,
@@ -117,14 +117,13 @@ def require_inside(phi: WaveFunction, b: float, horizon: float) -> None:
         )
 
 
-def _prepare(cfg: SweepConfig, walk: bool = True):
-    """Build the grid, the preset and, if walk, the walk over cfg.eps x
-    cfg.times (else None), refusing configurations the grid cannot carry.
-    The walk's gates, one per rung, run here either way, before the
-    far-wall check and any work."""
+def _prepare(cfg: SweepConfig):
+    """Build the grid, the preset and the walk over cfg.eps x cfg.times,
+    refusing configurations the grid cannot carry.  The walk's gates,
+    one per rung, run here, before the far-wall check and any work."""
     grid = make_grid(cfg.L, cfg.N)
     phi = get_preset(cfg.preset, grid)
-    ladder = (spectral_ladder if walk else ladder_gates)(phi, cfg.eps, cfg.b, cfg.times)
+    ladder = spectral_ladder(phi, cfg.eps, cfg.b, cfg.times)
     require_inside(phi, cfg.b, max(cfg.times))
     return grid, phi, ladder
 
@@ -297,9 +296,9 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
     """
     if cfg.b <= 0:
         raise ValidationError("the divergence probe runs in the inflow regime b > 0")
-    # cfg.eps is not walked, but its rungs are gated as for every other
-    # claim, before the probe's own ladder.
-    grid, phi, _ = _prepare(cfg, walk=False)
+    # cfg.eps is not walked: its walk is dropped unread, once it has
+    # gated the rungs as for every other claim, before the probe's own ladder.
+    grid, phi, _ = _prepare(cfg)
     t = max(cfg.times)
     ladder = tuple(cfg.eps[0] * 0.5 ** j for j in range(PROBE_RUNGS))
     lost = 1.0 - comp_state_evolve(phi, cfg.b, t).alpha
@@ -385,7 +384,7 @@ CLAIMS = tuple(_CLAIMS)
 
 
 def _claim(claim: str):
-    if claim not in _CLAIMS:
+    if not isinstance(claim, str) or claim not in _CLAIMS:
         raise ValidationError(f"unknown claim {claim!r}, expected one of {CLAIMS}")
     return _CLAIMS[claim]
 
@@ -484,10 +483,10 @@ def evaluate_checks(
 def emit_report(
     records: list[ConvergenceRecord],
     csv_path: str | Path,
-    json_path: str | Path | None = None,
-    checks: tuple[Check, ...] = (),
+    json_path: str | Path,
+    checks: tuple[Check, ...],
 ) -> dict:
-    """Write the CSV (and JSON verdicts when asked) and return the verdicts.
+    """Write the CSV and the JSON verdicts and return the verdicts.
 
     Output is deterministic: fixed 17-significant-digit scientific
     format, fixed row order, explicit newlines.
@@ -502,8 +501,7 @@ def emit_report(
         )
     Path(csv_path).write_text("\n".join(lines) + "\n", encoding="ascii")
     verdicts = evaluate_checks(records, checks)
-    if json_path is not None:
-        Path(json_path).write_text(
-            json.dumps(verdicts, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
+    Path(json_path).write_text(
+        json.dumps(verdicts, indent=2, sort_keys=True) + "\n", encoding="ascii"
+    )
     return verdicts

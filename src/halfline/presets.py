@@ -61,7 +61,7 @@ def preset_function(name: str, L: float | None = None) -> Callable[[np.ndarray],
         return _arch(1.0)
     if name == "bump23":
         return _arch(2.0)
-    m = _SINE_RE.match(name)
+    m = isinstance(name, str) and _SINE_RE.match(name)
     if m:
         k = int(m.group(1))
         if k < 1:
@@ -80,12 +80,12 @@ def get_preset(name: str, grid: Grid) -> WaveFunction:
     """Sample a preset on a grid after checking it is representable there:
     it vanishes at the wall and its grid norm is its exact norm 1 to
     within UNIT_TOL, the tolerance every unit vector on a grid meets."""
+    f = preset_function(name, L=grid.L)
     m = _SINE_RE.match(name)
     if m and int(m.group(1)) > grid.N // 4:
         raise ValidationError(
             f"sine mode {m.group(1)} needs more than {grid.N} cells on this grid"
         )
-    f = preset_function(name, L=grid.L)
     vals = np.asarray(f(grid.x), dtype=np.complex128)
     peak = float(np.max(np.abs(vals)))
     trace = float(np.abs(f(np.float64(0.0))))

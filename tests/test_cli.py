@@ -109,6 +109,18 @@ def test_evolve_json_output(capsys):
         ("evolve", "--preset", "xexp", "--epsilon", "0.3", "--b", "-1", "--t", "12"),
         ("evolve", "--preset", "xexp", "--epsilon", "0.3", "--b", "-1", "--t", "9.5"),
         ("limit", "--preset", "xexp", "--b", "1", "--t", "9.5"),
+        # a config value of the wrong JSON type, read as a flag would be
+        ("limit", "--config", {"preset": 5, "N": 1024}, "--b", "1", "--t", "1"),
+        ("evolve", "--config", {"preset": ["xexp"], "N": 1024},
+         "--epsilon", "0.3", "--b", "1", "--t", "0.5"),
+        ("evolve", "--config", {"out": 5, "N": 1024},
+         "--preset", "xexp", "--epsilon", "0.3", "--b", "1", "--t", "0.5"),
+        ("sweep", "--config", {"claim": ["thm1"], "N": 1024},
+         "--preset", "xexp", "--b", "1", "--times", "0.5", "--eps", "0.3"),
+        ("sweep", "--config", {"out_dir": 5, "N": 1024},
+         "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "0.5", "--eps", "0.3"),
+        ("sweep", "--config", {"g": 7, "N": 1024},
+         "--claim", "weak", "--preset", "xexp", "--b", "1", "--times", "0.5", "--eps", "0.3"),
     ],
 )
 def test_invalid_input_exits_2(capsys, tmp_path, argv):
@@ -120,8 +132,9 @@ def test_invalid_input_exits_2(capsys, tmp_path, argv):
     else:
         argv = (*argv, *SMALL)
     rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2
-    assert err.startswith("error:")
+    assert rc == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:")
 
 
 def test_evolve_at_t0_keeps_the_rung_gate(capsys):
@@ -209,6 +222,16 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         # before the limit maps ask for a unit vector.
         (("limit", "--preset", "bump12", "--b", "1", "--t", "1.5", "--N", "1024"),
          "preset 'bump12' has grid norm 1.000e+00 on L=40, N=1024"),
+        # argparse's own refusals and the choices: no usage block
+        (("evolve", "--preset", "xexp", "--epsilon", "0.1", "--b", "1", "--t", "1",
+          "--N", "abc"), "--N expects a number, got 'abc'"),
+        (("evolve", "--preset", "xexp", "--epsilon", "0.1", "--b", "1", "--t", "1",
+          "--N", "1024", "--engine", "warp"), "unknown engine 'warp'"),
+        (("sweep", "--claim", "nope", "--preset", "xexp", "--b", "1", "--times", "1",
+          "--eps", "0.3", "--N", "1024"), "unknown claim 'nope'"),
+        ((), "the following arguments are required: command"),
+        (("sweep", "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "1",
+          "--eps", "0.3", "--N", "1024", "--json"), "unrecognized arguments: --json"),
     ],
 )
 def test_refusal_prints_only_its_error_line(argv, cause):
@@ -220,9 +243,53 @@ def test_refusal_prints_only_its_error_line(argv, cause):
 
 
 def test_argparse_errors_exit_2(capsys):
-    assert main(["evolve", "--engine", "warp"]) == 2
-    assert main([]) == 2
-    capsys.readouterr()
+    for argv in (["evolve", "--engine", "warp"], [], ["limit", "--N"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error:")
+
+
+@pytest.mark.parametrize("command,choices", [("limit", ()), ("evolve", cli.ENGINES),
+                                             ("sweep", cli.CLAIMS)])
+def test_help_exits_0_and_names_the_choices(capsys, command, choices):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert exc.value.code == 0
+    assert all(repr(c) in out for c in choices)
+
+
+# Each numeric option reads the same from a flag's string as from a
+# config's number or string; N as an integer or an integral float.
+PARITY = {
+    "evolve": {"preset": "xexp", "L": 10, "b": 1, "epsilon": 0.3, "t": 0.5},
+    "sweep": {"claim": "weak", "preset": "xexp", "L": 10, "b": 1,
+              "times": [0.5, 1], "eps": [0.3, 0.15]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARITY))
+def test_options_read_alike_from_flags_and_config(capsys, tmp_path, command):
+    def text(v):
+        return ",".join(map(str, v)) if isinstance(v, list) else str(v)
+
+    opts = PARITY[command]
+    tail = ("--out-dir", str(tmp_path)) if command == "sweep" else ()
+    runs = [[x for k, v in opts.items() for x in (f"--{k}", text(v))] + ["--N", n]
+            for n in ("1024", "1024.0")]
+    for cfg_opts in (opts, {k: text(v) for k, v in opts.items()}):
+        for n in ("1024", 1024, 1024.0, "1024.0"):
+            cfg = tmp_path / f"c{len(runs)}.json"
+            cfg.write_text(json.dumps({**cfg_opts, "N": n}))
+            runs.append(["--config", str(cfg)])
+    if command == "sweep":
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps({**opts, "N": 1024, "times": ["0.5", "1"]}))
+        runs.append(["--config", str(cfg)])
+    seen = {run_cli(capsys, command, *argv, *tail) for argv in runs}
+    [(rc, out, err)] = seen
+    assert rc == 0 and err == ""
 
 
 def test_sweep_takes_no_json_flag(capsys, tmp_path):
@@ -233,7 +300,7 @@ def test_sweep_takes_no_json_flag(capsys, tmp_path):
         "--times", "0.5", "--eps", "0.3", "--out-dir", str(tmp_path), "--json",
     )
     assert rc == 2 and out == ""
-    assert "unrecognized arguments: --json" in err
+    assert err == "error: unrecognized arguments: --json\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -246,6 +313,20 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     )
     assert rc == 2
     assert "viscosity" in err
+
+
+@pytest.mark.parametrize("text", [
+    b"{", b"[1, 2]", b'{"N": 1024', b'{"preset": "\xff"}',
+    b'{"N": 1' + b"0" * 5000 + b"}", b'{"N": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+], ids=["truncated", "list", "unclosed", "utf8", "long-int", "deep"])
+def test_malformed_config_file_exits_2(capsys, tmp_path, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(text)
+    rc, out, err = run_cli(capsys, "limit", "--config", str(cfg),
+                           "--preset", "xexp", "--b", "1", "--t", "1")
+    assert rc == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: config {cfg}")
 
 
 def _every_option(command, tmp_path):

@@ -291,8 +291,9 @@ def test_claim_checks_table():
     assert {c.kind for c in claim_checks("thm1")} == {"decreasing", "halved"}
     assert any(c.metric == "strong_gap" for c in claim_checks("prop2", b=-1.0))
     assert any(c.metric == "stall_defect" for c in claim_checks("prop2", b=1.0))
-    with pytest.raises(ValidationError):
-        claim_checks("thm9")
+    for claim in ("thm9", ["thm1"], 5):
+        with pytest.raises(ValidationError, match="unknown claim"):
+            claim_checks(claim)
 
 
 def test_run_claim_dispatch():
@@ -305,8 +306,9 @@ def test_run_claim_dispatch():
     recsw, checksw = run_claim("weak", cfg, g_name="bump23")
     assert {r.metric for r in recsw} == {"weak[bump23]"}
     assert checksw[0].metric == "weak[bump23]"
-    with pytest.raises(ValidationError):
-        run_claim("thm9", cfg)
+    for claim in ("thm9", ["thm1"]):
+        with pytest.raises(ValidationError, match="unknown claim"):
+            run_claim(claim, cfg)
 
 
 def test_run_claim_reaches_sweeps_by_module_attribute(monkeypatch):

@@ -71,6 +71,9 @@ def test_unknown_preset_rejected():
         get_preset("gauss", g)
     assert "unknown preset" in str(exc.value)
     assert "xexp" in str(PRESET_NAMES)
+    for name in (5, ["xexp"], None):
+        with pytest.raises(ValidationError, match="unknown preset"):
+            get_preset(name, g)
 
 
 def test_presets_vanish_at_wall():

@@ -14,12 +14,14 @@ a forked child runs ladders as its parent does.
 
 import importlib
 import importlib.util
+import inspect
 import io
 import os
 import re
 import subprocess
 import sys
 import tokenize
+import typing
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,26 @@ def _layers():
 def test_traced_name_resolves(module, name):
     mod = importlib.import_module(f"halfline.{module}")
     assert callable(getattr(mod, name, None))
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_annotations_resolve(path):
+    # Annotations are strings until a tool resolves them; each name they
+    # use must resolve in the module that defines them.
+    name = "halfline" if path.stem == "__init__" else f"halfline.{path.stem}"
+    mod = importlib.import_module(name)
+    defined = [obj for obj in vars(mod).values()
+               if (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == mod.__name__]
+    defined += [m for cls in defined if inspect.isclass(cls)
+                for m in vars(cls).values() if inspect.isfunction(m)]
+    unresolved = []
+    for obj in defined:
+        try:
+            typing.get_type_hints(obj)
+        except NameError as e:
+            unresolved.append(f"{obj.__qualname__}: {e}")
+    assert unresolved == []
 
 
 def test_bench_names_resolve_at_top_level():
