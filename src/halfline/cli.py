@@ -72,9 +72,9 @@ def _parse_floats(key: str, val) -> tuple[float, ...]:
 
 
 def _text(key: str, val) -> str:
-    if isinstance(val, str):
+    if isinstance(val, str) and val:
         return val
-    raise ValidationError(f"--{key} expects a string, got {val!r}")
+    raise ValidationError(f"--{key} expects a non-empty string, got {val!r}")
 
 
 _READERS = {
@@ -178,7 +178,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             ("norm", norm(u)), ("boundary", abs(boundary_value(u))),
             ("peak", float(np.max(np.abs(u.values)))),
         ]
-    if opt.get("out"):
+    if opt.get("out") is not None:
         with _writing(opt["out"]):
             _dump_wave(u, opt["out"])
         pairs.append(("out", opt["out"]))
@@ -220,8 +220,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"--g names the test vector of weak sweeps; claim {claim!r} takes none"
         )
-    records, checks = run_claim(claim, cfg, g_name=opt.get("g") or "bump12")
-    out_dir = Path(opt.get("out_dir") or ".")
+    records, checks = run_claim(claim, cfg, g_name="bump12" if opt.get("g") is None else opt["g"])
+    out_dir = Path("." if opt.get("out_dir") is None else opt["out_dir"])
     csv_path = out_dir / f"{claim}.csv"
     json_path = out_dir / f"{claim}.json"
     with _writing(out_dir):

@@ -118,6 +118,11 @@ class CompAlgebraState:
 def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
     """Evolve a unit vector to its limiting state on compact observables."""
     require_unit(phi, "comp_state_evolve")
+    return _comp_state(phi, b, t)
+
+
+def _comp_state(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
+    """``comp_state_evolve`` on a vector already known to be a unit one."""
     v = shift_V(phi, b, t)
     alpha = min(mass(v), 1.0)
     if alpha <= ALPHA_FLOOR:
@@ -190,11 +195,12 @@ def comp_semigroup_check(phi: WaveFunction, b: float, t: float, tau: float) -> f
     """
     check_params(b=b, t=t, inflow=True)
     check_params(t=tau)
+    require_unit(phi, "comp_state_evolve")
     if t == 0.0 or tau == 0.0:
         return 0.0
-    direct = comp_state_evolve(phi, b, t + tau).alpha
-    first = comp_state_evolve(phi, b, t)
+    direct = _comp_state(phi, b, t + tau).alpha
+    first = _comp_state(phi, b, t)
     if first.shift_profile is None:
         return abs(direct)
-    second = comp_state_evolve(first.shift_profile, b, tau)
+    second = _comp_state(first.shift_profile, b, tau)
     return abs(first.alpha * second.alpha - direct)

@@ -121,6 +121,19 @@ def test_evolve_json_output(capsys):
          "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "0.5", "--eps", "0.3"),
         ("sweep", "--config", {"g": 7, "N": 1024},
          "--claim", "weak", "--preset", "xexp", "--b", "1", "--times", "0.5", "--eps", "0.3"),
+        # an empty string is refused, not read as an absent option
+        ("evolve", "--preset", "xexp", "--epsilon", "0.3", "--b", "1", "--t", "0.5",
+         "--out", ""),
+        ("evolve", "--config", {"out": "", "L": 10, "N": 1024},
+         "--preset", "xexp", "--epsilon", "0.3", "--b", "1", "--t", "0.5"),
+        ("sweep", "--claim", "weak", "--preset", "xexp", "--b", "1", "--times", "0.5",
+         "--eps", "0.3", "--g", ""),
+        ("sweep", "--config", {"g": "", "L": 10, "N": 1024},
+         "--claim", "weak", "--preset", "xexp", "--b", "1", "--times", "0.5", "--eps", "0.3"),
+        ("sweep", "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "0.5",
+         "--eps", "0.3", "--out-dir", ""),
+        ("sweep", "--config", {"out_dir": "", "L": 10, "N": 1024},
+         "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "0.5", "--eps", "0.3"),
     ],
 )
 def test_invalid_input_exits_2(capsys, tmp_path, argv):

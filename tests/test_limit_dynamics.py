@@ -17,6 +17,7 @@ from halfline import (
     reflect_W,
     wold_projectors,
 )
+import halfline.limit_dynamics as limit_dynamics
 from halfline.grid import BoundedFunction, indicator_project, shift_sample
 from halfline.limit_dynamics import (
     ALPHA_FLOOR,
@@ -248,6 +249,22 @@ def test_comp_semigroup_defect_small(medium):
     assert comp_semigroup_check(xe, 1.0, 0.0, 0.7) == 0.0
     with pytest.raises(ValidationError):
         comp_semigroup_check(xe, 1.0, 0.5, -0.1)
+
+
+@pytest.mark.parametrize("t,tau", [(0.5, 0.7), (0.0, 0.7), (0.5, 0.0)])
+def test_comp_semigroup_needs_unit_input(medium, t, tau):
+    g, xe, _ = medium
+    scaled = WaveFunction(g, 1.1 * xe.values)
+    with pytest.raises(ValidationError, match="comp_state_evolve needs a unit vector"):
+        comp_semigroup_check(scaled, 1.0, t, tau)
+
+
+def test_comp_semigroup_checks_its_input_once(medium, monkeypatch):
+    g, xe, _ = medium
+    seen = []
+    monkeypatch.setattr(limit_dynamics, "require_unit", lambda u, who: seen.append(u))
+    comp_semigroup_check(xe, 1.0, 0.5, 0.7)
+    assert seen == [xe]
 
 
 def test_comp_semigroup_handles_fully_singular_leg(medium):
