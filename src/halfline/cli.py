@@ -24,7 +24,7 @@ from .evolvers import (
     spectral_evolve,
 )
 from .grid import WaveFunction, _adopt, boundary_value, make_grid, mass, norm
-from .harness import CLAIMS, SweepConfig, emit_report, require_inside, run_claim
+from .harness import CLAIMS, WEAK_G, SweepConfig, emit_report, require_inside, run_claim
 from .limit_dynamics import (
     comp_state_evolve,
     destruction_time,
@@ -216,11 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         times=opt["times"], eps=opt["eps"],
     )
     claim = opt["claim"]
-    if claim != "weak" and opt.get("g") is not None:
-        raise ValidationError(
-            f"--g names the test vector of weak sweeps; claim {claim!r} takes none"
-        )
-    records, checks = run_claim(claim, cfg, g_name="bump12" if opt.get("g") is None else opt["g"])
+    records, checks = run_claim(claim, cfg, g_name=opt.get("g"))
     out_dir = Path("." if opt.get("out_dir") is None else opt["out_dir"])
     csv_path = out_dir / f"{claim}.csv"
     json_path = out_dir / f"{claim}.json"
@@ -274,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--times", help="comma list of times, e.g. 0.5,1,2")
     ps.add_argument("--eps", help="strictly decreasing comma list of viscosities")
     ps.add_argument("--out-dir", dest="out_dir", help="directory for CSV/JSON reports")
-    ps.add_argument("--g", help="test vector preset for weak sweeps (default bump12)")
+    ps.add_argument("--g", help=f"test vector preset for weak sweeps (default {WEAK_G})")
     ps.set_defaults(func=cmd_sweep)
     return parser
 

@@ -177,18 +177,9 @@ def _at_minus_q(v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _twiddle(n: int) -> np.ndarray:
-    """e^(i pi q / N) for q = 0..N-1, read-only: it depends on N alone.
-
-    Also primes the heap for N: glibc's malloc, freeing a block it had
-    mmapped, raises its mmap threshold to that size and its trim threshold
-    to twice that (mallopt(3)).  Freeing one untouched block of 16 N-point
-    arrays so keeps a walk's arrays and FFT scratch mapped between calls.
-    glibc ignores a freed block above 32 MiB, hence the cap; the gain
-    fades above N = 2^18.  Elsewhere it costs one untouched allocation.
-    """
+    """e^(i pi q / N) for q = 0..N-1, read-only: it depends on N alone."""
     tw = np.exp(1j * math.pi / n * np.arange(n))
     tw.setflags(write=False)
-    np.empty(min(16 * n, (1 << 21) - 512), dtype=np.complex128)  # freed at once
     return tw
 
 

@@ -18,6 +18,9 @@ from .errors import ValidationError, require_real
 # Inputs required to be unit vectors may miss norm 1 by this much.
 UNIT_TOL = 1e-6
 
+# Elements of the largest heap-priming block made so far; see Grid.
+_primed = 0
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -56,6 +59,18 @@ class Grid:
         x = (np.arange(self.N, dtype=np.float64) + 0.5) * self.h
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
+        # Prime the heap: glibc's malloc, freeing a block it had mmapped,
+        # raises its mmap threshold to that size and its trim threshold to
+        # twice that (mallopt(3)), so this untouched block of 16 N-point
+        # arrays keeps later N-point arrays and FFT scratch mapped.  glibc
+        # ignores a freed block above 32 MiB, hence the cap.  A block no
+        # larger than the last would raise nothing and come from the heap,
+        # where numpy marks it for huge pages, which slowed later
+        # transforms.  Elsewhere it costs one untouched allocation.
+        global _primed
+        if min(16 * self.N, (1 << 21) - 512) > _primed:
+            _primed = min(16 * self.N, (1 << 21) - 512)
+            np.empty(_primed, dtype=np.complex128)
 
 
 def make_grid(L: float, N: int) -> Grid:

@@ -52,6 +52,9 @@ PROBE_RUNGS = 4
 # The fixed test vector of the prop2 weak residual.
 PROP2_PSI = "xexp"
 
+# The test vector of weak sweeps when none is named.
+WEAK_G = "bump12"
+
 CSV_HEADER = "preset,b,t,epsilon,metric,value,ratio"
 
 
@@ -179,7 +182,7 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
     return records
 
 
-def sweep_weak_decay(cfg: SweepConfig, g_name: str = "bump12") -> list[ConvergenceRecord]:
+def sweep_weak_decay(cfg: SweepConfig, g_name: str = WEAK_G) -> list[ConvergenceRecord]:
     """Weak-convergence residual against a fixed test vector.
 
     Measures |<g, u_eps(t) - V(t) phi>|, which must vanish even though
@@ -391,14 +394,21 @@ def _claim(claim: str):
 
 def claim_checks(claim: str, b: float = 1.0) -> tuple[Check, ...]:
     """Default verdict rules for each claim keyword."""
-    return _claim(claim)[1](b, "bump12")
+    return _claim(claim)[1](b, WEAK_G)
 
 
-def run_claim(claim: str, cfg: SweepConfig, g_name: str = "bump12") -> tuple[
+def run_claim(claim: str, cfg: SweepConfig, g_name: str | None = None) -> tuple[
     list[ConvergenceRecord], tuple[Check, ...]
 ]:
-    """Run the sweep behind a claim keyword with its default checks."""
+    """Run the sweep behind a claim keyword with its default checks;
+    only weak sweeps take a test vector g_name, WEAK_G when it is None."""
     sweep, checks = _claim(claim)
+    if g_name is None:
+        g_name = WEAK_G
+    elif claim != "weak":
+        raise ValidationError(
+            f"--g names the test vector of weak sweeps; claim {claim!r} takes none"
+        )
     return sweep(cfg, g_name), checks(cfg.b, g_name)
 
 

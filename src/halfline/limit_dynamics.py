@@ -111,8 +111,6 @@ class CompAlgebraState:
     alpha: float
     singular_weight: float
     shift_profile: WaveFunction | None
-    b: float
-    t: float
 
 
 def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
@@ -132,13 +130,7 @@ def _comp_state(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
         # normalized in place.
         _scaled(v.values, math.sqrt(alpha), out=v.values)
         profile = v
-    return CompAlgebraState(
-        alpha=alpha,
-        singular_weight=1.0 - alpha,
-        shift_profile=profile,
-        b=b,
-        t=t,
-    )
+    return CompAlgebraState(alpha=alpha, singular_weight=1.0 - alpha, shift_profile=profile)
 
 
 def destruction_time(phi: WaveFunction, b: float) -> float:

@@ -445,12 +445,17 @@ def test_sweep_failed_verdict_exits_3(capsys, tmp_path):
 
 
 def test_sweep_claim_choice_is_validated(capsys, tmp_path):
-    rc = main([
-        "sweep", "--claim", "thm9", "--preset", "xexp", "--b", "1",
-        "--times", "1.0", "--eps", "0.3", "--out-dir", str(tmp_path),
-    ])
-    capsys.readouterr()
-    assert rc == 2
+    # An unknown claim is refused first, whether or not a test vector is
+    # named beside it, so the error blames the claim and not --g.
+    argv = ["sweep", "--claim", "thm9", "--preset", "xexp", "--b", "1",
+            "--times", "1.0", "--eps", "0.3", "--out-dir", str(tmp_path)]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"g": "bump12"}))
+    for extra in ((), ("--g", "bump12"), ("--config", str(cfg))):
+        rc, out, err = run_cli(capsys, *argv, *extra)
+        assert rc == 2 and out == "", extra
+        [line] = err.splitlines()
+        assert line.startswith("error: unknown claim 'thm9'"), extra
 
 
 @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])

@@ -366,20 +366,52 @@ walk()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
+# The limit maps never walk: only the grid primes this process's heap.
+_LIMIT_MAP_FAULTS = """
+import resource
+import halfline as H
+g = H.make_grid(40.0, 2 ** 16)
+phi = H.get_preset("bump12", g)
+def pair():
+    H.kraus_apply(phi, 1.0, 1.5)
+    H.comp_state_evolve(phi, 1.0, 1.5)
+pair()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    pair()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the heap priming in _twiddle rests on glibc's malloc threshold rule")
+_ON_GLIBC = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the heap priming where a grid is built rests on glibc's malloc threshold rule")
+
+
+def _minor_faults(snippet: str) -> int:
+    """Minor page faults that snippet prints, run in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", snippet], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return int(out.stdout)
+
+
+@_ON_GLIBC
 def test_second_reference_walk_stays_resident():
     # Without the priming a second 4 x 3 walk on the reference grid takes
     # about 7,000 minor faults: its arrays and FFT scratch went back to
     # the kernel after the first walk.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", _SECOND_WALK_FAULTS], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert int(out.stdout) < 500
+    assert _minor_faults(_SECOND_WALK_FAULTS) < 500
+
+
+@_ON_GLIBC
+def test_repeated_limit_maps_stay_resident():
+    # Without the priming ten kraus_apply + comp_state_evolve pairs on the
+    # reference grid take about 9,500 minor faults: each shift's result and
+    # blend temporary went back to the kernel after the call before.
+    assert _minor_faults(_LIMIT_MAP_FAULTS) < 500
 
 
 def test_spectral_group_law(small):

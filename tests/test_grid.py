@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,20 @@ from halfline.grid import (
     shift_sample,
 )
 import halfline.grid as grid_module
+
+
+def test_grid_primes_the_heap_only_with_a_larger_block():
+    # A priming block no larger than an earlier one raises no threshold;
+    # it would come from the heap, which numpy marks for huge pages.
+    make_grid(40.0, 2 ** 16)
+    tracemalloc.start()
+    try:
+        make_grid(40.0, 2 ** 16)
+        make_grid(20.0, 2 ** 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 16  # x alone takes 8 N bytes; the block 256 N
 
 
 @pytest.mark.parametrize("L,N", [(40.0, 8), (10.0, 1024), (20.0, 64)])

@@ -18,6 +18,7 @@ from halfline.harness import (
     Check,
     ConvergenceRecord,
     PROBE_RUNGS,
+    WEAK_G,
     attach_ratios,
     claim_checks,
     divergence_probe,
@@ -306,9 +307,15 @@ def test_run_claim_dispatch():
     recsw, checksw = run_claim("weak", cfg, g_name="bump23")
     assert {r.metric for r in recsw} == {"weak[bump23]"}
     assert checksw[0].metric == "weak[bump23]"
+    # An unknown claim is refused first, then a test vector named for a
+    # claim that has none.
     for claim in ("thm9", ["thm1"]):
-        with pytest.raises(ValidationError, match="unknown claim"):
-            run_claim(claim, cfg)
+        for g in (None, WEAK_G):
+            with pytest.raises(ValidationError, match="unknown claim"):
+                run_claim(claim, cfg, g_name=g)
+    for claim in set(CLAIMS) - {"weak"}:
+        with pytest.raises(ValidationError, match=f"claim '{claim}' takes none"):
+            run_claim(claim, cfg, g_name=WEAK_G)
 
 
 def test_run_claim_reaches_sweeps_by_module_attribute(monkeypatch):
