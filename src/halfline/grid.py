@@ -142,27 +142,14 @@ def _scaled(v: np.ndarray, s: float, out: np.ndarray | None = None) -> np.ndarra
 class BoundedFunction:
     """Real or complex bounded multiplier sampled on a grid.
 
-    The stated bound must dominate the samples; it stands in for the
-    essential sup of the underlying function and is what expectation
-    bounds are checked against.
+    The samples are finite, so max |f| bounds the multiplier.
     """
 
     grid: Grid
     values: np.ndarray
-    bound: float
 
     def __post_init__(self) -> None:
-        v = _samples(self.grid, self.values)
-        require_real("bound", self.bound)
-        if not (math.isfinite(self.bound) and self.bound >= 0):
-            raise ValidationError(f"bound must be finite and nonnegative, got {self.bound!r}")
-        peak = float(np.max(np.abs(v))) if v.size else 0.0
-        if peak > self.bound * (1.0 + 1e-12) + 1e-300:
-            raise ValidationError(
-                f"samples reach {peak:.3e}, above the stated bound {self.bound:.3e}"
-            )
-        self.values = v
-        self.bound = float(self.bound)
+        self.values = _samples(self.grid, self.values)
 
 
 def _same_grid(u: WaveFunction, v: WaveFunction) -> Grid:

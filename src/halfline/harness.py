@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -101,7 +101,6 @@ class ConvergenceRecord:
     epsilon: float
     metric: str
     value: float
-    ratio: float | None = None
 
 
 def require_inside(phi: WaveFunction, b: float, horizon: float) -> None:
@@ -129,19 +128,6 @@ def _prepare(cfg: SweepConfig):
     ladder = spectral_ladder(phi, cfg.eps, cfg.b, cfg.times)
     require_inside(phi, cfg.b, max(cfg.times))
     return grid, phi, ladder
-
-
-def attach_ratios(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
-    """Fill per-group consecutive ratios, first rung of each group empty."""
-    last: dict[tuple, float] = {}
-    out = []
-    for r in records:
-        key = (r.preset, r.b, r.t, r.metric)
-        prev = last.get(key)
-        ratio = r.value / prev if prev not in (None, 0.0) else None
-        last[key] = r.value
-        out.append(replace(r, ratio=ratio))
-    return out
 
 
 def _defect(u: WaveFunction, v: WaveFunction) -> WaveFunction:
@@ -208,10 +194,10 @@ def standard_observables(grid: Grid, kinds: tuple[str, ...], cut: float) -> dict
     out: dict[str, object] = {}
     for kind in kinds:
         if kind == "indicator":
-            out[kind] = BoundedFunction(grid, np.where(grid.x <= cut, 1.0, 0.0), 1.0)
+            out[kind] = BoundedFunction(grid, np.where(grid.x <= cut, 1.0, 0.0))
         elif kind == "sigmoid":
             vals = 1.0 / (1.0 + np.exp(-4.0 * (grid.x - 2.0)))
-            out[kind] = BoundedFunction(grid, vals, 1.0)
+            out[kind] = BoundedFunction(grid, vals)
         elif kind == "projector":
             d = get_preset("bump12", grid)
             unit = _adopt(grid, _scaled(d.values, norm(d)))
@@ -499,12 +485,16 @@ def emit_report(
     """Write the CSV and the JSON verdicts and return the verdicts.
 
     Output is deterministic: fixed 17-significant-digit scientific
-    format, fixed row order, explicit newlines.
+    format, fixed row order, explicit newlines.  The ratio column is each
+    value over the last one of its (preset, b, t, metric) group, empty on
+    a group's first row and after a zero.
     """
-    records = attach_ratios(records)
+    last: dict[tuple, float] = {}
     lines = [CSV_HEADER]
     for r in records:
-        ratio = "" if r.ratio is None else f"{r.ratio:.16e}"
+        key = (r.preset, r.b, r.t, r.metric)
+        prev, last[key] = last.get(key), r.value
+        ratio = "" if prev in (None, 0.0) else f"{r.value / prev:.16e}"
         lines.append(
             f"{r.preset},{r.b:.16e},{r.t:.16e},{r.epsilon:.16e},"
             f"{r.metric},{r.value:.16e},{ratio}"

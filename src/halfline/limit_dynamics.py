@@ -161,10 +161,15 @@ class WoldProjectors:
     cut: float
 
     def upper(self, u: WaveFunction) -> WaveFunction:
-        return indicator_project(u, self.cut, self.grid.L)
+        return self._band(u, self.cut, self.grid.L)
 
     def lower(self, u: WaveFunction) -> WaveFunction:
-        return indicator_project(u, 0.0, self.cut)
+        return self._band(u, 0.0, self.cut)
+
+    def _band(self, u: WaveFunction, a: float, b: float) -> WaveFunction:
+        if u.grid != self.grid:
+            raise ValidationError("projectors and state live on different grids")
+        return indicator_project(u, a, b)
 
 
 def wold_projectors(grid: Grid, b: float, t: float) -> WoldProjectors:

@@ -25,7 +25,7 @@ XEXP_AMPLITUDE = math.sqrt(8.0) / (math.pi / 2.0) ** 0.25
 
 PRESET_NAMES = ("xexp", "bump12", "bump23", "sine-mode-<k>")
 
-_SINE_RE = re.compile(r"^sine-mode-(\d+)$")
+_SINE_RE = re.compile(r"sine-mode-([0-9]+)")
 
 
 def _xexp(x: np.ndarray) -> np.ndarray:
@@ -61,7 +61,7 @@ def preset_function(name: str, L: float | None = None) -> Callable[[np.ndarray],
         return _arch(1.0)
     if name == "bump23":
         return _arch(2.0)
-    m = isinstance(name, str) and _SINE_RE.match(name)
+    m = isinstance(name, str) and _SINE_RE.fullmatch(name)
     if m:
         k = int(m.group(1))
         if k < 1:
@@ -81,7 +81,7 @@ def get_preset(name: str, grid: Grid) -> WaveFunction:
     it vanishes at the wall and its grid norm is its exact norm 1 to
     within UNIT_TOL, the tolerance every unit vector on a grid meets."""
     f = preset_function(name, L=grid.L)
-    m = _SINE_RE.match(name)
+    m = _SINE_RE.fullmatch(name)
     if m and int(m.group(1)) > grid.N // 4:
         raise ValidationError(
             f"sine mode {m.group(1)} needs more than {grid.N} cells on this grid"

@@ -29,7 +29,6 @@ from halfline import (
 )
 from halfline.grid import boundary_defect, indicator_project
 from halfline.harness import (
-    attach_ratios,
     claim_checks,
     divergence_probe,
     evaluate_checks,
@@ -89,7 +88,7 @@ def test_criterion_03_two_wave_remainder_decreases():
     print(f"sup remainder column: {sup}")
     assert all(y < x for x, y in zip(sup, sup[1:]))
     assert sup[-1] < 0.5 * sup[0]
-    verdict = evaluate_checks(attach_ratios(recs), claim_checks("thm1"))
+    verdict = evaluate_checks(recs, claim_checks("thm1"))
     assert verdict["all_pass"]
 
 
@@ -145,9 +144,7 @@ def test_criterion_07_expectation_gaps_close():
         print(f"gap[{kind}]: {col}")
         assert all(y < x for x, y in zip(col, col[1:]))
         assert col[-1] <= 0.02
-    verdict = evaluate_checks(
-        attach_ratios(recs), claim_checks("thm5") + claim_checks("thm3")
-    )
+    verdict = evaluate_checks(recs, claim_checks("thm5") + claim_checks("thm3"))
     assert verdict["all_pass"]
 
 
@@ -157,14 +154,14 @@ def test_criterion_08_strong_weak_dichotomy():
     out = SweepConfig(preset="xexp", L=REFERENCE_L, N=REFERENCE_N, b=-1.0,
                       times=times, eps=eps)
     recs_out = sweep_prop2(out)
-    v_out = evaluate_checks(attach_ratios(recs_out), claim_checks("prop2", b=-1.0))
+    v_out = evaluate_checks(recs_out, claim_checks("prop2", b=-1.0))
     assert v_out["all_pass"]
     assert _column(recs_out, "strong_gap", 1.0)[-1] <= 0.05
 
     into = SweepConfig(preset="xexp", L=REFERENCE_L, N=REFERENCE_N, b=1.0,
                        times=times, eps=eps)
     recs_in = sweep_prop2(into)
-    v_in = evaluate_checks(attach_ratios(recs_in), claim_checks("prop2", b=1.0))
+    v_in = evaluate_checks(recs_in, claim_checks("prop2", b=1.0))
     assert v_in["all_pass"]
     assert _column(recs_in, "weak_gap[xexp]", 1.0)[-1] <= 0.02
     # the strong residual itself stalls at the absorbed mass
@@ -185,7 +182,7 @@ def test_criterion_09_probe_oscillates_without_limit():
     assert max(exps) - min(exps) >= 0.5 * lost
     # consecutive rungs never settle to within the stated tolerance
     assert min(abs(y - x) for x, y in zip(exps, exps[1:])) >= 0.1 * lost
-    verdict = evaluate_checks(attach_ratios(recs), claim_checks("thm2"))
+    verdict = evaluate_checks(recs, claim_checks("thm2"))
     assert verdict["all_pass"]
 
 

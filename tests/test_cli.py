@@ -134,6 +134,9 @@ def test_evolve_json_output(capsys):
          "--eps", "0.3", "--out-dir", ""),
         ("sweep", "--config", {"out_dir": "", "L": 10, "N": 1024},
          "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "0.5", "--eps", "0.3"),
+        # a sine mode number is ASCII digits with nothing after them
+        ("limit", "--preset", "sine-mode-\u0661", "--b", "1e-9", "--t", "1e-9"),
+        ("limit", "--preset", "sine-mode-1\n", "--b", "1e-9", "--t", "1e-9"),
     ],
 )
 def test_invalid_input_exits_2(capsys, tmp_path, argv):

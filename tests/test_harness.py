@@ -19,7 +19,6 @@ from halfline.harness import (
     ConvergenceRecord,
     PROBE_RUNGS,
     WEAK_G,
-    attach_ratios,
     claim_checks,
     divergence_probe,
     evaluate_checks,
@@ -120,21 +119,6 @@ def test_sweep_theorem1_structure_and_values():
     assert sups[1].value == pytest.approx(0.4140388060391644, rel=1e-9)
 
 
-def test_attach_ratios_per_group():
-    recs = [
-        ConvergenceRecord("p", 1.0, 0.5, 0.2, "m", 1.0),
-        ConvergenceRecord("p", 1.0, 1.0, 0.2, "m", 3.0),
-        ConvergenceRecord("p", 1.0, 0.5, 0.1, "m", 0.25),
-        ConvergenceRecord("p", 1.0, 1.0, 0.1, "m", 1.5),
-    ]
-    out = attach_ratios(recs)
-    assert out[0].ratio is None and out[1].ratio is None
-    assert out[2].ratio == pytest.approx(0.25)
-    assert out[3].ratio == pytest.approx(0.5)
-    # original records stay untouched
-    assert recs[2].ratio is None
-
-
 def test_sweep_weak_decay_monotone():
     cfg = SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=1.0,
                       times=(1.5,), eps=(0.3, 0.15, 0.075))
@@ -194,7 +178,7 @@ def test_divergence_probe_alternates():
     assert ptp >= 0.5 * lost
     gaps = [r.value for r in recs if r.metric == "probe_gap_sq"]
     assert all(abs(v - lost) <= 0.05 for v in gaps)
-    verdict = evaluate_checks(attach_ratios(recs), claim_checks("thm2"))
+    verdict = evaluate_checks(recs, claim_checks("thm2"))
     assert verdict["all_pass"]
 
 
@@ -340,10 +324,11 @@ def test_run_claim_reaches_sweeps_by_module_attribute(monkeypatch):
 
 
 def test_emit_report_golden_csv(tmp_path):
-    recs = [
-        ConvergenceRecord("xexp", 1.0, 0.5, 0.2, "m", 0.5),
-        ConvergenceRecord("xexp", 1.0, 0.5, 0.1, "m", 0.125),
-    ]
+    # Two interleaved t groups of m, and a group of z with a row after a zero.
+    rows = [(0.5, 0.2, "m", 0.5), (1.0, 0.2, "m", 3.0), (1.0, 0.2, "z", 1.0),
+            (0.5, 0.1, "m", 0.125), (1.0, 0.1, "m", 1.5), (1.0, 0.1, "z", 0.0),
+            (1.0, 0.05, "z", 2.0)]
+    recs = [ConvergenceRecord("xexp", 1.0, *row) for row in rows]
     csv = tmp_path / "r.csv"
     js = tmp_path / "r.json"
     verdicts = emit_report(recs, csv, js, (Check("decreasing", "m"),))
@@ -354,11 +339,15 @@ def test_emit_report_golden_csv(tmp_path):
         "xexp,1.0000000000000000e+00,5.0000000000000000e-01,"
         "2.0000000000000001e-01,m,5.0000000000000000e-01,"
     )
-    assert lines[2].endswith(",2.5000000000000000e-01")
+    # Empty on a group's first row and after a zero, value / prev otherwise.
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [
+        "", "", "", "2.5000000000000000e-01", "5.0000000000000000e-01",
+        "0.0000000000000000e+00", "",
+    ]
     assert verdicts["all_pass"]
     parsed = json.loads(js.read_text())
     assert parsed["all_pass"] is True
-    assert parsed["n_records"] == 2
+    assert parsed["n_records"] == 7
 
 
 @pytest.mark.parametrize("claim", CLAIMS)

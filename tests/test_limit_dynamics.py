@@ -50,7 +50,7 @@ def test_regime_validation(medium):
     kraus_apply,
     comp_state_evolve,
     lambda phi, b, t: mult_expectation_limit(
-        phi, BoundedFunction(phi.grid, np.ones(phi.grid.N), 1.0), b, t),
+        phi, BoundedFunction(phi.grid, np.ones(phi.grid.N)), b, t),
 ], ids=["kraus_apply", "comp_state_evolve", "mult_expectation_limit"])
 def test_limit_maps_refuse_outside_the_inflow_regime(medium, fn, b, t):
     g, xe, _ = medium
@@ -188,7 +188,7 @@ def test_mult_expectation_limit_against_quadrature():
     # only the transported branch overlaps [1, 2] at t = 0.8
     oracle, _ = quad(lambda y: f(y + 0.8) ** 2, 1.0, 2.0)
     assert oracle == pytest.approx(0.004723197188457691, rel=1e-12)
-    ind = BoundedFunction(g, np.where((g.x >= 1.0) & (g.x <= 2.0), 1.0, 0.0), 1.0)
+    ind = BoundedFunction(g, np.where((g.x >= 1.0) & (g.x <= 2.0), 1.0, 0.0))
     val = mult_expectation_limit(xe, ind, 1.0, 0.8)
     assert isinstance(val, float)
     assert val == pytest.approx(oracle, abs=1e-4)
@@ -198,7 +198,7 @@ def test_mult_expectation_limit_sees_both_branches(medium):
     g, _, b12 = medium
     # by t = 2.5 the bump has fully crossed: everything sits in the
     # reflected branch, and total mass is still 1
-    one = BoundedFunction(g, np.ones(g.N), 1.0)
+    one = BoundedFunction(g, np.ones(g.N))
     val = mult_expectation_limit(b12, one, 1.0, 2.5)
     assert val == pytest.approx(1.0, abs=1e-4)
     v = shift_V(b12, 1.0, 2.5)
@@ -207,7 +207,7 @@ def test_mult_expectation_limit_sees_both_branches(medium):
 
 def test_mult_expectation_complex_multiplier(medium):
     g, xe, _ = medium
-    f = BoundedFunction(g, (1.0 + 1.0j) * np.ones(g.N), math.sqrt(2.0))
+    f = BoundedFunction(g, (1.0 + 1.0j) * np.ones(g.N))
     val = mult_expectation_limit(xe, f, 1.0, 0.5)
     assert isinstance(val, complex)
     assert val.imag != 0.0
@@ -216,7 +216,7 @@ def test_mult_expectation_complex_multiplier(medium):
 def test_mult_expectation_grid_mismatch(medium):
     g, xe, _ = medium
     other = make_grid(10.0, 2 ** 12)
-    f = BoundedFunction(other, np.ones(other.N), 1.0)
+    f = BoundedFunction(other, np.ones(other.N))
     with pytest.raises(ValidationError):
         mult_expectation_limit(xe, f, 1.0, 0.5)
 
@@ -231,6 +231,11 @@ def test_wold_projectors_split(medium):
     assert np.array_equal(wp.upper(up).values, up.values)
     assert np.all(low.values[g.x > 0.8] == 0.0)
     assert norm(up) ** 2 + norm(low) ** 2 == pytest.approx(norm(xe) ** 2, rel=1e-12)
+    # a state on another grid is refused, not cut at this grid's L
+    other = make_grid(40.0, 2 ** 13)
+    for band in (wp.upper, wp.lower):
+        with pytest.raises(ValidationError, match="different grids"):
+            band(get_preset("xexp", other))
 
 
 def test_wold_projectors_refuse_cut_at_far_wall():

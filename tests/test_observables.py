@@ -46,7 +46,7 @@ def test_finite_rank_refuses_non_real_coefficient(setup, c):
 
 def test_mult_expectation_matches_band_mass(setup):
     g, xe = setup
-    ind = BoundedFunction(g, np.where((g.x >= 0.5) & (g.x <= 1.5), 1.0, 0.0), 1.0)
+    ind = BoundedFunction(g, np.where((g.x >= 0.5) & (g.x <= 1.5), 1.0, 0.0))
     val = expectation(xe, ind)
     assert isinstance(val, float)
     assert val == pytest.approx(norm(indicator_project(xe, 0.5, 1.5)) ** 2, rel=1e-12)
@@ -54,9 +54,9 @@ def test_mult_expectation_matches_band_mass(setup):
 
 def test_mult_expectation_is_bounded_by_the_bound(setup):
     g, xe = setup
-    f = BoundedFunction(g, np.sin(g.x), 1.0)
+    f = BoundedFunction(g, np.sin(g.x))
     val = expectation(xe, f)
-    assert abs(val) <= f.bound * norm(xe) ** 2 * (1.0 + 1e-12)
+    assert abs(val) <= np.max(np.abs(f.values)) * norm(xe) ** 2 * (1.0 + 1e-12)
 
 
 def test_finite_rank_expectation_manual(setup):
@@ -71,7 +71,7 @@ def test_finite_rank_expectation_manual(setup):
 def test_expectation_rejects_grid_mismatch(setup):
     g, xe = setup
     other = make_grid(10.0, 2 ** 12)
-    f = BoundedFunction(other, np.ones(other.N), 1.0)
+    f = BoundedFunction(other, np.ones(other.N))
     with pytest.raises(ValidationError):
         expectation(xe, f)
 
@@ -92,6 +92,6 @@ def test_comp_limit_vanishes_when_fully_singular(setup):
 
 def test_comp_limit_rejects_multiplication(setup):
     g, xe = setup
-    f = BoundedFunction(g, np.ones(g.N), 1.0)
+    f = BoundedFunction(g, np.ones(g.N))
     with pytest.raises(ValidationError):
         comp_expectation_limit(xe, f, 1.0, 0.5)

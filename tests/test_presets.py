@@ -71,7 +71,7 @@ def test_unknown_preset_rejected():
         get_preset("gauss", g)
     assert "unknown preset" in str(exc.value)
     assert "xexp" in str(PRESET_NAMES)
-    for name in (5, ["xexp"], None):
+    for name in (5, ["xexp"], None, "sine-mode-\u0661", "sine-mode-1\n"):
         with pytest.raises(ValidationError, match="unknown preset"):
             get_preset(name, g)
 
