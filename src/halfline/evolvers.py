@@ -170,11 +170,6 @@ def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
     return u
 
 
-def _at_minus_q(v: np.ndarray) -> np.ndarray:
-    """v_(-q mod N) for q = 0..N-1: the FFT index reflected through zero."""
-    return np.concatenate((v[:1], v[:0:-1]))
-
-
 @lru_cache(maxsize=8)
 def _twiddle(n: int) -> np.ndarray:
     """e^(i pi q / N) for q = 0..N-1, read-only: it depends on N alone."""
@@ -282,14 +277,20 @@ def _walk(phi: WaveFunction, eps: tuple, b: float, times: tuple):
         # The sign (-1)^j rides on the gauge; it is real, so the
         # conjugate gauge undoes both.
         gauge[1::2] *= -1.0
-        s = gauge * phi.values
-        w = np.fft.fft(np.concatenate((s[0::2], s[::-2])))
-        del s
+        # The gauged data, even samples then odd ones reversed, written
+        # straight into the transform's buffer.
+        w = np.empty(n, dtype=np.complex128)
+        np.multiply(gauge[0::2], phi.values[0::2], out=w[:n // 2])
+        np.multiply(gauge[::-2], phi.values[::-2], out=w[n // 2:])
+        w = np.fft.fft(w, out=w)
         w *= 0.5
         np.conjugate(gauge, out=gauge)
         # X = W + tau W(-q) and Y = W - tau W(-q), tau the twiddle: the
-        # pair's multiplier m then mixes as m X + m(-q) Y.
-        y = np.multiply(twiddle, _at_minus_q(w))
+        # pair's multiplier m then mixes as m X + m(-q) Y.  W(-q) is W_0
+        # at q = 0 and W reversed after it.
+        y = np.empty(n, dtype=np.complex128)
+        y[0] = twiddle[0] * w[0]
+        np.multiply(twiddle[1:], w[:0:-1], out=y[1:])
         x = w + y
         np.subtract(w, y, out=y)
         del w

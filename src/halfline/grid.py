@@ -180,6 +180,34 @@ def inner(u: WaveFunction, v: WaveFunction) -> complex:
     return complex(g.h * np.einsum("i,i->", u.values.conj(), v.values))
 
 
+class Pairing:
+    """v -> <g, v> against one fixed state g, for pairing g with many states.
+
+    g is conjugated once, and only its nodes [0, end) are kept, end being
+    1 plus the last node where g is non-zero.  A call sums conj(g) v over
+    those nodes through ``inner``'s einsum.  The nodes it drops add exact
+    zeros, and einsum groups a complex sum in blocks counted from node 0,
+    so the value is ``inner(g, v)`` bit for bit.  A sum that started past
+    node 0 would regroup the blocks and move the last digits; a real sum
+    such as ``mass`` over a prefix does not match in every case either.
+    """
+
+    def __init__(self, g: WaveFunction) -> None:
+        v = g.values
+        end = v.shape[0]
+        # A vector non-zero on the last node, as most are, needs no search.
+        if v[-1] == 0:
+            nz = np.flatnonzero(v)
+            end = int(nz[-1]) + 1 if nz.size else 0
+        self.grid, self.end = g.grid, end
+        self._conj = v[:end].conj()
+
+    def __call__(self, v: np.ndarray) -> complex:
+        """<g, v> for the samples v of a state on g's grid; only v[:end]
+        is read, so v may be those nodes alone."""
+        return complex(self.grid.h * np.einsum("i,i->", self._conj, v[:self.end]))
+
+
 def norm(u: WaveFunction) -> float:
     return math.sqrt(mass(u))
 

@@ -21,6 +21,7 @@ from .evolvers import limit_group_V, spectral_ladder, two_wave
 from .grid import (
     BoundedFunction,
     Grid,
+    Pairing,
     WaveFunction,
     _adopt,
     _scaled,
@@ -176,10 +177,11 @@ def sweep_weak_decay(cfg: SweepConfig, g_name: str = WEAK_G) -> list[Convergence
     """
     grid, phi, walk = _prepare(cfg)
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
-    g = get_preset(g_name, grid)
-    # V(t) phi depends on t alone, not on the rung.
-    v = {t: limit_group_V(phi, cfg.b, t) for t in cfg.times}
-    return [rec(t, e, f"weak[{g_name}]", abs(inner(g, _defect(u, v[t]))))
+    g = Pairing(get_preset(g_name, grid))
+    # V(t) phi depends on t alone, not on the rung.  g reads the defect
+    # only on its nodes [0, end), so the defect is formed there alone.
+    v = {t: limit_group_V(phi, cfg.b, t).values[:g.end] for t in cfg.times}
+    return [rec(t, e, f"weak[{g_name}]", abs(g(u.values[:g.end] - v[t])))
             for e, t, u in walk]
 
 
@@ -250,7 +252,7 @@ def sweep_prop2(cfg: SweepConfig) -> list[ConvergenceRecord]:
     """
     grid, phi, walk = _prepare(cfg)
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
-    psi = get_preset(PROP2_PSI, grid)
+    psi = Pairing(get_preset(PROP2_PSI, grid))
     # V(t) phi and the absorbed mass depend on t alone, not on the rung.
     v = {t: limit_group_V(phi, cfg.b, t) for t in cfg.times}
     lost = {}
@@ -262,7 +264,7 @@ def sweep_prop2(cfg: SweepConfig) -> list[ConvergenceRecord]:
         gap_sq = mass(diff)
         records.append(rec(t, e, "strong_gap", math.sqrt(gap_sq)))
         if cfg.b > 0:
-            records.append(rec(t, e, f"weak_gap[{PROP2_PSI}]", abs(inner(psi, diff))))
+            records.append(rec(t, e, f"weak_gap[{PROP2_PSI}]", abs(psi(diff.values))))
             records.append(rec(t, e, "stall_defect", abs(gap_sq - lost[t])))
     return records
 
@@ -299,14 +301,17 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
 
     v = limit_group_V(phi, cfg.b, t)
     states = [u for _, _, u in spectral_ladder(phi, ladder, cfg.b, (t,))]
-    defects = [_defect(u, v) for u in states]
-    gaps_sq = [mass(d) for d in defects]
 
+    gaps_sq: list[float] = []
     directions: list[WaveFunction] = []
     coeffs: list[float] = []
-    for j, (d, m) in enumerate(zip(defects, gaps_sq)):
-        # Gram-Schmidt in place on the fresh quotient, not on the defect.
-        res = _adopt(grid, _scaled(d.values, math.sqrt(m)))
+    for j, u in enumerate(states):
+        # Gram-Schmidt in place on the defect's quotient by its norm; no
+        # defect outlives its turn, so the probe's pairings take their room.
+        res = _defect(u, v)
+        m = mass(res)
+        gaps_sq.append(m)
+        _scaled(res.values, math.sqrt(m), out=res.values)
         for q in directions:
             res.values -= inner(q, res) * q.values
         n = norm(res)

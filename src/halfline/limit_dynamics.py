@@ -119,10 +119,15 @@ def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState
     return _comp_state(phi, b, t)
 
 
+def _alpha(v: WaveFunction) -> float:
+    """The surviving mass of a transported unit vector v, at most 1."""
+    return min(mass(v), 1.0)
+
+
 def _comp_state(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
     """``comp_state_evolve`` on a vector already known to be a unit one."""
     v = shift_V(phi, b, t)
-    alpha = min(mass(v), 1.0)
+    alpha = _alpha(v)
     if alpha <= ALPHA_FLOOR:
         profile = None
     else:
@@ -195,9 +200,10 @@ def comp_semigroup_check(phi: WaveFunction, b: float, t: float, tau: float) -> f
     require_unit(phi, "comp_state_evolve")
     if t == 0.0 or tau == 0.0:
         return 0.0
-    direct = _comp_state(phi, b, t + tau).alpha
+    # Only the first leg's profile is read; the others need their alpha alone.
+    direct = _alpha(shift_V(phi, b, t + tau))
     first = _comp_state(phi, b, t)
     if first.shift_profile is None:
         return abs(direct)
-    second = _comp_state(first.shift_profile, b, tau)
-    return abs(first.alpha * second.alpha - direct)
+    second = _alpha(shift_V(first.shift_profile, b, tau))
+    return abs(first.alpha * second - direct)

@@ -8,12 +8,12 @@ observables, which lose sight of the mass swallowed by the wall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError, require_real
-from .grid import BoundedFunction, WaveFunction, density, inner, require_unit, weighted_mass
+from .grid import BoundedFunction, Grid, Pairing, WaveFunction, density, require_unit, weighted_mass
 from .limit_dynamics import comp_state_evolve
 
 
@@ -21,11 +21,13 @@ from .limit_dynamics import comp_state_evolve
 class FiniteRankObservable:
     """Real combination sum_k c_k P_k of rank-one projections.
 
-    Directions must be unit vectors; they need not be orthogonal.
+    Directions must be unit vectors; they need not be orthogonal.  Each
+    is paired once, here, for every state the observable meets.
     """
 
     coeffs: tuple[float, ...]
     directions: tuple[WaveFunction, ...]
+    pairings: tuple[Pairing, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.directions):
@@ -36,12 +38,16 @@ class FiniteRankObservable:
             require_real("coefficient", c)
             if not math.isfinite(c):
                 raise ValidationError(f"coefficients must be finite reals, got {c!r}")
-        g = self.directions[0].grid
         for d in self.directions:
-            if d.grid != g:
+            if d.grid != self.grid:
                 raise ValidationError("directions live on different grids")
             require_unit(d, "each direction")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "pairings", tuple(Pairing(d) for d in self.directions))
+
+    @property
+    def grid(self) -> Grid:
+        return self.directions[0].grid
 
 
 Observable = BoundedFunction | FiniteRankObservable
@@ -50,16 +56,16 @@ Observable = BoundedFunction | FiniteRankObservable
 def expectation(u: WaveFunction, obs: Observable) -> float | complex:
     """Quadratic form <u, A u> of an observable on a state; a
     BoundedFunction acts by multiplication."""
+    if not isinstance(obs, (BoundedFunction, FiniteRankObservable)):
+        raise ValidationError(f"unsupported observable type {type(obs).__name__}")
+    if u.grid != obs.grid:
+        raise ValidationError("observable and state live on different grids")
     if isinstance(obs, BoundedFunction):
-        if u.grid != obs.grid:
-            raise ValidationError("observable and state live on different grids")
         return weighted_mass(obs, density(u))
-    if isinstance(obs, FiniteRankObservable):
-        total = 0.0
-        for c, d in zip(obs.coeffs, obs.directions):
-            total += c * abs(inner(d, u)) ** 2
-        return total
-    raise ValidationError(f"unsupported observable type {type(obs).__name__}")
+    total = 0.0
+    for c, p in zip(obs.coeffs, obs.pairings):
+        total += c * abs(p(u.values)) ** 2
+    return total
 
 
 def comp_expectation_limit(

@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfline import ValidationError, WaveFunction, boundary_value, make_grid, norm
 from halfline.grid import (
     BoundedFunction,
+    Pairing,
     boundary_defect,
     density,
     indicator_project,
@@ -112,6 +113,32 @@ def test_inner_hermitian_and_positive(seed, seed2):
     assert inner(u, v) == pytest.approx(np.conj(inner(v, u)), abs=1e-12)
     assert np.real(inner(u, u)) >= 0.0
     assert abs(np.imag(inner(u, u))) < 1e-12
+
+
+def _bits(z):
+    return np.array([z], dtype=np.complex128).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), lo=st.integers(0, 2 ** 15), width=st.integers(0, 2 ** 15))
+@example(seed=1, lo=0, width=0)  # empty
+@example(seed=2, lo=0, width=2 ** 15)  # full
+@example(seed=3, lo=8000, width=400)  # across one 8,192-node block boundary
+@example(seed=4, lo=20000, width=12768)  # mid-grid to the last node
+def test_pairing_matches_inner_bit_for_bit(seed, lo, width):
+    # The sum over [0, end) drops exact zeros from inner's sum and keeps
+    # its start at node 0, so the bits match wherever the support lies.
+    g = make_grid(40.0, 2 ** 15)
+    hi = min(lo + width, g.N)
+    rng = np.random.default_rng(seed)
+    f = np.zeros(g.N, dtype=np.complex128)
+    f[lo:hi] = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
+    fixed = WaveFunction(g, f)
+    v = _random_wave(g, seed + 1)
+    p = Pairing(fixed)
+    assert p.end == (hi if hi > lo else 0)
+    assert _bits(p(v.values)) == _bits(inner(fixed, v))
+    assert _bits(p(v.values[:p.end])) == _bits(inner(fixed, v))
 
 
 def test_inner_rejects_mixed_grids():

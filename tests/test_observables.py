@@ -76,6 +76,17 @@ def test_expectation_rejects_grid_mismatch(setup):
         expectation(xe, f)
 
 
+def test_finite_rank_expectation_refuses_a_state_on_another_grid(setup):
+    g, xe = setup
+    obs = FiniteRankObservable(coeffs=(1.0,), directions=(xe,))
+    for other in (make_grid(10.0, 2 ** 12), make_grid(20.0, 2 ** 11)):
+        state = get_preset("xexp", other)
+        with pytest.raises(ValidationError, match="different grids"):
+            expectation(state, obs)
+        with pytest.raises(ValidationError, match="different grids"):
+            comp_expectation_limit(state, obs, 1.0, 0.5)
+
+
 def test_comp_limit_picks_out_alpha(setup):
     g, xe = setup
     st = comp_state_evolve(xe, 1.0, 0.8)

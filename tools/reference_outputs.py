@@ -6,7 +6,9 @@ Runs ``python -m halfline.cli`` on this checkout's own ``src/``, one
 child process per run with ``OPENBLAS_NUM_THREADS=1``, from inside OUT:
 
 * the seven acceptance sweeps (thm1, weak, thm3, thm5, prop2 at b = +1
-  and -1, thm2) on the reference grid, each with its reports in
+  and -1, thm2) on the reference grid, and weak on the same config
+  against the test vectors bump23 (a second compact support) and xexp
+  (support ending at 68 % of the grid), each with its reports in
   ``sweep_<name>/``;
 * ``evolve`` of xexp at eps = 0.1, t = 1 on the reference grid: the
   spectral and asymptotic engines at b = +1 and -1, the kernel engine
@@ -42,6 +44,8 @@ EVOLVE = ("evolve", "--preset", "xexp", "--epsilon", "0.1", "--t", "1")
 SWEEPS = {
     "thm1": ("thm1", *THM1),
     "weak": ("weak", *THM1),
+    "weak_bump23": ("weak", *THM1, "--g", "bump23"),
+    "weak_xexp": ("weak", *THM1, "--g", "xexp"),
     "thm3": ("thm3", *EXPECT),
     "thm5": ("thm5", *EXPECT),
     "prop2_inflow": ("prop2", "--b", "1", *PROP2),
