@@ -25,12 +25,7 @@ from .evolvers import (
 )
 from .grid import WaveFunction, _adopt, boundary_value, make_grid, mass, norm
 from .harness import CLAIMS, WEAK_G, SweepConfig, emit_report, require_inside, run_claim
-from .limit_dynamics import (
-    comp_state_evolve,
-    destruction_time,
-    kraus_apply,
-    wold_projectors,
-)
+from .limit_dynamics import destruction_time, kraus_apply, wold_projectors
 from .presets import PRESET_NAMES, REFERENCE_L, REFERENCE_N, get_preset
 
 ENGINES = ("spectral", "kernel", "asymptotic", "both")
@@ -192,14 +187,13 @@ def cmd_limit(args: argparse.Namespace) -> int:
     phi = get_preset(opt["preset"], grid)
     b, t = opt["b"], opt["t"]
     require_inside(phi, b, t)
-    ks = kraus_apply(phi, b, t)
-    st = comp_state_evolve(phi, b, t)
+    st = kraus_apply(phi, b, t)
     wp = wold_projectors(grid, b, t)
     pairs = [
         ("preset", opt["preset"]), ("L", opt["L"]), ("N", opt["N"]),
         ("b", b), ("t", t),
-        ("p_shift", ks.p_shift), ("p_reflect", ks.p_reflect),
-        ("completeness_defect", ks.completeness_defect),
+        ("p_shift", st.p_shift), ("p_reflect", st.p_reflect),
+        ("completeness_defect", st.completeness_defect),
         ("alpha", st.alpha), ("singular_weight", st.singular_weight),
         ("destruction_time", destruction_time(phi, b)),
         ("wold_upper", mass(wp.upper(phi))),

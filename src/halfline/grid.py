@@ -53,6 +53,8 @@ class Grid:
         require_real("L", self.L)
         if not (math.isfinite(self.L) and self.L > 0):
             raise ValidationError(f"L must be a positive finite number, got {self.L!r}")
+        if self.L / self.N == 0.0:
+            raise ValidationError(f"cells of width L/N underflow to 0 at L={self.L!r}, N={self.N}")
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "h", self.L / self.N)

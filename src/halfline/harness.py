@@ -34,7 +34,7 @@ from .grid import (
     reflect_sample,
     shift_sample,
 )
-from .limit_dynamics import comp_state_evolve, mult_expectation_limit
+from .limit_dynamics import LimitState, comp_state_evolve, mult_expectation_limit
 from .observables import FiniteRankObservable, comp_expectation_limit, expectation
 from .presets import get_preset
 
@@ -158,8 +158,8 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
             phase = plane_wave(grid, cfg.b / e, np.empty(grid.N, dtype=np.complex128))
         moved, mirrored = parts[t]
         d = two_wave(moved.values, phase, mirrored.values, out=np.empty_like(phase))
-        np.subtract(u.values, d, out=u.values)
-        r = norm(u)
+        # The remainder goes into d: the walk's state is read, never written.
+        r = norm(_adopt(grid, np.subtract(u.values, d, out=d)))
         worst = max(worst, r)
         records.append(rec(t, e, "remainder", r))
         if t == t_sup:
@@ -209,6 +209,19 @@ def standard_observables(grid: Grid, kinds: tuple[str, ...], cut: float) -> dict
     return out
 
 
+def _limit_values(state: LimitState, observables: dict[str, object]) -> dict[str, float]:
+    """The limit expectation of each observable in one limit state."""
+    return {kind: float(np.real(mult_expectation_limit(state, a)))
+            if isinstance(a, BoundedFunction) else comp_expectation_limit(state, a)
+            for kind, a in observables.items()}
+
+
+def _transported(phi: WaveFunction, b: float, t: float) -> tuple[WaveFunction, float]:
+    """V(t) phi and its lost mass 1 - alpha, from a limit state dropped here."""
+    state = comp_state_evolve(phi, b, t)
+    return state.shift_branch, state.singular_weight
+
+
 def sweep_expectations(
     cfg: SweepConfig, kinds: tuple[str, ...] = ("indicator", "sigmoid", "projector")
 ) -> list[ConvergenceRecord]:
@@ -224,20 +237,15 @@ def sweep_expectations(
     obs_by_t = {
         t: standard_observables(grid, kinds, cut=cfg.b * t) for t in cfg.times
     }
-    limits: dict[tuple[str, float], float] = {}
-    for t in cfg.times:
-        for kind, a in obs_by_t[t].items():
-            if isinstance(a, BoundedFunction):
-                lim = float(np.real(mult_expectation_limit(phi, a, cfg.b, t)))
-            else:
-                lim = comp_expectation_limit(phi, a, cfg.b, t)
-            limits[(kind, t)] = lim
+    # One limit state per time, dropped with its branches before the walk.
+    limits = {t: _limit_values(comp_state_evolve(phi, cfg.b, t), obs_by_t[t])
+              for t in cfg.times}
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     records = []
     for e, t, u in walk:
         for kind, a in obs_by_t[t].items():
             val = float(np.real(expectation(u, a)))
-            records.append(rec(t, e, f"gap[{kind}]", abs(val - limits[(kind, t)])))
+            records.append(rec(t, e, f"gap[{kind}]", abs(val - limits[t][kind])))
     return records
 
 
@@ -253,19 +261,18 @@ def sweep_prop2(cfg: SweepConfig) -> list[ConvergenceRecord]:
     grid, phi, walk = _prepare(cfg)
     rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     psi = Pairing(get_preset(PROP2_PSI, grid))
-    # V(t) phi and the absorbed mass depend on t alone, not on the rung.
-    v = {t: limit_group_V(phi, cfg.b, t) for t in cfg.times}
-    lost = {}
-    if cfg.b > 0:
-        lost = {t: 1.0 - comp_state_evolve(phi, cfg.b, t).alpha for t in cfg.times}
+    # V(t) phi and, for b > 0, the absorbed mass depend on t alone, not on the rung.
+    transport = {t: _transported(phi, cfg.b, t) if cfg.b > 0
+                 else (limit_group_V(phi, cfg.b, t), None) for t in cfg.times}
     records = []
     for e, t, u in walk:
-        diff = _defect(u, v[t])
+        v, lost = transport[t]
+        diff = _defect(u, v)
         gap_sq = mass(diff)
         records.append(rec(t, e, "strong_gap", math.sqrt(gap_sq)))
         if cfg.b > 0:
             records.append(rec(t, e, f"weak_gap[{PROP2_PSI}]", abs(psi(diff.values))))
-            records.append(rec(t, e, "stall_defect", abs(gap_sq - lost[t])))
+            records.append(rec(t, e, "stall_defect", abs(gap_sq - lost)))
     return records
 
 
@@ -292,14 +299,13 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
     grid, phi, _ = _prepare(cfg)
     t = max(cfg.times)
     ladder = tuple(cfg.eps[0] * 0.5 ** j for j in range(PROBE_RUNGS))
-    lost = 1.0 - comp_state_evolve(phi, cfg.b, t).alpha
+    v, lost = _transported(phi, cfg.b, t)
     if lost < PROBE_MIN_ABSORBED:
         raise ValidationError(
             f"absorbed mass {lost:.3e} at t={t:g} is below {PROBE_MIN_ABSORBED}, "
             "nothing for the probe to act on"
         )
 
-    v = limit_group_V(phi, cfg.b, t)
     states = [u for _, _, u in spectral_ladder(phi, ladder, cfg.b, (t,))]
 
     gaps_sq: list[float] = []

@@ -6,12 +6,18 @@ V(t) u = u(x + b t); what the contraction loses is recovered either by
 a second explicit branch (the reflected wave, up to a phase that never
 converges) or, at the level of states on compact observables, by a
 singular component that no compact observable can see.
+
+Both pictures read one ``LimitState`` per (phi, b, t), which
+``kraus_apply`` and ``comp_state_evolve`` return after one unit check:
+V(t) phi and its mass are built with it, W(t) phi and the normalized
+profile on first use, and the limit expectations read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +26,7 @@ from .grid import (
     BoundedFunction,
     Grid,
     WaveFunction,
+    _adopt,
     _scaled,
     density,
     indicator_project,
@@ -52,90 +59,74 @@ def reflect_W(phi: WaveFunction, b: float, t: float) -> WaveFunction:
 
 
 @dataclass(frozen=True)
-class KrausBranchState:
-    """Both branches of the limit channel applied to one unit vector."""
+class LimitState:
+    """The limit channel at time t on one unit vector phi: both Kraus
+    branches and the state on compact observables.  The singular weight
+    is exactly 1 - alpha; below ALPHA_FLOOR there is no transported
+    direction left and the profile is None."""
 
+    phi: WaveFunction
+    cut: float
     shift_branch: WaveFunction
-    reflect_branch: WaveFunction
     p_shift: float
-    p_reflect: float
-    completeness_defect: float
+
+    @property
+    def alpha(self) -> float:
+        """The surviving mass of the transported branch, at most 1."""
+        return min(self.p_shift, 1.0)
+
+    @property
+    def singular_weight(self) -> float:
+        return 1.0 - self.alpha
+
+    @cached_property
+    def reflect_branch(self) -> WaveFunction:
+        return reflect_sample(self.phi, self.cut)
+
+    @cached_property
+    def p_reflect(self) -> float:
+        return mass(self.reflect_branch)
+
+    @property
+    def completeness_defect(self) -> float:
+        """|p_shift + p_reflect - 1|: W(t) phi copies what V(t) phi dropped."""
+        return abs(self.p_shift + self.p_reflect - 1.0)
+
+    @cached_property
+    def shift_profile(self) -> WaveFunction | None:
+        if self.alpha <= ALPHA_FLOOR:
+            return None
+        return _adopt(self.phi.grid, _scaled(self.shift_branch.values, math.sqrt(self.alpha)))
 
 
-def kraus_apply(phi: WaveFunction, b: float, t: float) -> KrausBranchState:
-    """Apply both branches and account for the mass split.
-
-    The two branch masses must sum to one: the reflected branch is an
-    exact isometric copy of whatever the transport branch dropped.
-    Requires unit input, since the mass bookkeeping is meaningless
-    otherwise.
-    """
-    require_unit(phi, "kraus_apply")
+def _limit_state(phi: WaveFunction, b: float, t: float) -> LimitState:
+    """The limit state of a vector already known to be a unit one."""
     v = shift_V(phi, b, t)
-    w = reflect_W(phi, b, t)
-    pv = mass(v)
-    pw = mass(w)
-    return KrausBranchState(
-        shift_branch=v,
-        reflect_branch=w,
-        p_shift=pv,
-        p_reflect=pw,
-        completeness_defect=abs(pv + pw - 1.0),
-    )
+    return LimitState(phi=phi, cut=b * t, shift_branch=v, p_shift=mass(v))
 
 
-def mult_expectation_limit(
-    phi: WaveFunction, f: BoundedFunction, b: float, t: float
-) -> float | complex:
-    """Limit of multiplication-observable expectations at time t.
+def kraus_apply(phi: WaveFunction, b: float, t: float) -> LimitState:
+    """Apply the limit channel to a unit vector, whose branch masses then sum to one."""
+    require_unit(phi, "kraus_apply")
+    return _limit_state(phi, b, t)
+
+
+def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> LimitState:
+    """Evolve a unit vector to its limiting state on compact observables."""
+    require_unit(phi, "comp_state_evolve")
+    return _limit_state(phi, b, t)
+
+
+def mult_expectation_limit(state: LimitState, f: BoundedFunction) -> float | complex:
+    """Limit of multiplication-observable expectations in a limit state.
 
     Both branches contribute their own density; the phase riding on
     the reflected wave cancels against its conjugate, so the limit
     sees plain densities and no interference term.
     """
-    if phi.grid != f.grid:
+    if state.phi.grid != f.grid:
         raise ValidationError("observable and state live on different grids")
-    return weighted_mass(f, density(shift_V(phi, b, t)) + density(reflect_W(phi, b, t)))
-
-
-@dataclass(frozen=True)
-class CompAlgebraState:
-    """State on compact observables: a weighted pure part plus a
-    singular remainder.
-
-    The singular weight is exactly 1 - alpha by construction.  Below
-    ALPHA_FLOOR there is no transported direction left and the profile
-    is None.
-    """
-
-    alpha: float
-    singular_weight: float
-    shift_profile: WaveFunction | None
-
-
-def comp_state_evolve(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
-    """Evolve a unit vector to its limiting state on compact observables."""
-    require_unit(phi, "comp_state_evolve")
-    return _comp_state(phi, b, t)
-
-
-def _alpha(v: WaveFunction) -> float:
-    """The surviving mass of a transported unit vector v, at most 1."""
-    return min(mass(v), 1.0)
-
-
-def _comp_state(phi: WaveFunction, b: float, t: float) -> CompAlgebraState:
-    """``comp_state_evolve`` on a vector already known to be a unit one."""
-    v = shift_V(phi, b, t)
-    alpha = _alpha(v)
-    if alpha <= ALPHA_FLOOR:
-        profile = None
-    else:
-        # v is this call's own fresh state: it becomes the profile,
-        # normalized in place.
-        _scaled(v.values, math.sqrt(alpha), out=v.values)
-        profile = v
-    return CompAlgebraState(alpha=alpha, singular_weight=1.0 - alpha, shift_profile=profile)
+    return weighted_mass(f, density(state.shift_branch) + density(state.reflect_branch))
 
 
 def destruction_time(phi: WaveFunction, b: float) -> float:
@@ -149,7 +140,10 @@ def destruction_time(phi: WaveFunction, b: float) -> float:
     i = np.searchsorted(phi.grid.h * np.cumsum(density(phi)), MASS_FLOOR, "right")
     if i == phi.grid.N:
         raise ValidationError("state carries no mass above MASS_FLOOR")
-    return float(phi.grid.x[i]) / b
+    t_star = float(phi.grid.x[i]) / b
+    if not math.isfinite(t_star):
+        raise ValidationError(f"destruction time x/b overflows at x={phi.grid.x[i]:g}, b={b!r}")
+    return t_star
 
 
 @dataclass(frozen=True)
@@ -201,9 +195,9 @@ def comp_semigroup_check(phi: WaveFunction, b: float, t: float, tau: float) -> f
     if t == 0.0 or tau == 0.0:
         return 0.0
     # Only the first leg's profile is read; the others need their alpha alone.
-    direct = _alpha(shift_V(phi, b, t + tau))
-    first = _comp_state(phi, b, t)
+    direct = _limit_state(phi, b, t + tau).alpha
+    first = _limit_state(phi, b, t)
     if first.shift_profile is None:
         return abs(direct)
-    second = _alpha(shift_V(first.shift_profile, b, tau))
+    second = _limit_state(first.shift_profile, b, tau).alpha
     return abs(first.alpha * second - direct)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError, require_real
 from .grid import BoundedFunction, Grid, Pairing, WaveFunction, density, require_unit, weighted_mass
-from .limit_dynamics import comp_state_evolve
+from .limit_dynamics import LimitState
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,8 @@ def expectation(u: WaveFunction, obs: Observable) -> float | complex:
     return total
 
 
-def comp_expectation_limit(
-    phi: WaveFunction, obs: FiniteRankObservable, b: float, t: float
-) -> float:
-    """Limiting expectation of a compact observable.
+def comp_expectation_limit(state: LimitState, obs: FiniteRankObservable) -> float:
+    """Limiting expectation of a compact observable in a limit state.
 
     Only the transported branch contributes; the singular weight is
     invisible to any finite-rank observable.  Multiplication
@@ -82,9 +80,9 @@ def comp_expectation_limit(
         raise ValidationError(
             "comp_expectation_limit handles finite-rank observables only"
         )
-    state = comp_state_evolve(phi, b, t)
+    if state.phi.grid != obs.grid:
+        raise ValidationError("observable and state live on different grids")
     if state.shift_profile is None:
         return 0.0
     val = expectation(state.shift_profile, obs)
     return state.alpha * float(np.real(val))
-

@@ -70,6 +70,8 @@ def preset_function(name: str, L: float | None = None) -> Callable[[np.ndarray],
             raise ValidationError("sine modes need the interval length L")
         amp = math.sqrt(2.0 / L)
         w = k * math.pi / L
+        if not math.isfinite(w):
+            raise ValidationError(f"sine mode {k} has wavenumber k*pi/L = {w} on L={L!r}")
         return lambda x: amp * np.sin(w * np.asarray(x, dtype=np.float64))
     raise ValidationError(
         f"unknown preset {name!r}, expected one of {', '.join(PRESET_NAMES)}"

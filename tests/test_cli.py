@@ -248,6 +248,14 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         ((), "the following arguments are required: command"),
         (("sweep", "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "1",
           "--eps", "0.3", "--N", "1024", "--json"), "unrecognized arguments: --json"),
+        # L/N underflows to 0, or k pi / L overflows: refused before any sampling.
+        (("limit", "--preset", "sine-mode-1", "--L", "5e-324", "--N", "64", "--b", "1",
+          "--t", "0.5"), "cells of width L/N underflow to 0 at L=5e-324, N=64"),
+        (("limit", "--preset", "sine-mode-1", "--L", "1e-320", "--N", "64", "--b", "1",
+          "--t", "0.5"), "sine mode 1 has wavenumber k*pi/L = inf on L=1e-320"),
+        # the first massive node over b overflows
+        (("limit", "--preset", "bump23", "--b", "5e-324", "--t", "1e-9", "--N", "4096"),
+         "destruction time x/b overflows at x=2.00684, b=5e-324"),
     ],
 )
 def test_refusal_prints_only_its_error_line(argv, cause):
@@ -414,6 +422,25 @@ def test_limit_reports_exact_split(capsys):
     assert kv["completeness_defect"] < 1e-4
     assert kv["wold_upper"] + kv["wold_lower"] == pytest.approx(1.0, abs=1e-6)
     assert kv["destruction_time"] == pytest.approx(1.0, abs=20.0 / 4096)
+
+
+def test_limit_builds_one_state(capsys, monkeypatch):
+    # All five limit values come from one state: one shift, one
+    # reflection and one check that the preset is a unit vector.
+    import halfline.grid as grid
+    import halfline.limit_dynamics as limit_dynamics
+
+    blends, units = [], []
+    real_blend, real_unit = grid._slice_blend, limit_dynamics.require_unit
+    monkeypatch.setattr(grid, "_slice_blend",
+                        lambda u, a, step: blends.append((a, step)) or real_blend(u, a, step))
+    monkeypatch.setattr(limit_dynamics, "require_unit",
+                        lambda u, who: units.append(who) or real_unit(u, who))
+    rc, _, _ = run_cli(capsys, "limit", "--preset", "bump12", "--L", "20", "--N", "4096",
+                       "--b", "1", "--t", "1.5")
+    assert rc == 0
+    assert blends == [(1.5, 1), (1.5, -1)]
+    assert units == ["kraus_apply"]
 
 
 def test_sweep_passes_and_writes_reports(capsys, tmp_path):

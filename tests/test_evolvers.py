@@ -373,8 +373,9 @@ import halfline as H
 g = H.make_grid(40.0, 2 ** 16)
 phi = H.get_preset("bump12", g)
 def pair():
-    H.kraus_apply(phi, 1.0, 1.5)
-    H.comp_state_evolve(phi, 1.0, 1.5)
+    # the reflection and the profile are built when read
+    H.kraus_apply(phi, 1.0, 1.5).p_reflect
+    H.comp_state_evolve(phi, 1.0, 1.5).shift_profile
 pair()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):

@@ -46,7 +46,8 @@ def test_make_grid_basic(L, N):
     np.testing.assert_allclose(g.x[-1], L - g.h / 2)
 
 
-@pytest.mark.parametrize("L,N", [(40.0, 7), (40.0, 12), (40.0, 4), (0.0, 16), (-3.0, 16), (math.inf, 16)])
+@pytest.mark.parametrize("L,N", [(40.0, 7), (40.0, 12), (40.0, 4), (0.0, 16), (-3.0, 16), (math.inf, 16),
+                                 (5e-324, 64)])
 def test_make_grid_rejects(L, N):
     with pytest.raises(ValidationError):
         make_grid(L, N)

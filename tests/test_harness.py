@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -182,20 +183,89 @@ def test_divergence_probe_alternates():
     assert verdict["all_pass"]
 
 
-def test_sweeps_transport_once_per_time(monkeypatch):
-    import halfline.harness as harness
+def _count_blends(monkeypatch) -> list[tuple[float, int]]:
+    """Record the offset and step of every grid-wide blend: a shift
+    V(t) phi has step 1, a reflection W(t) phi step -1."""
+    import halfline.grid as grid
 
     calls = []
-    real = harness.limit_group_V
+    real = grid._slice_blend
     monkeypatch.setattr(
-        harness, "limit_group_V", lambda phi, b, t: calls.append(t) or real(phi, b, t)
+        grid, "_slice_blend", lambda u, a, step: calls.append((a, step)) or real(u, a, step)
     )
+    return calls
+
+
+def test_sweeps_transport_once_per_time(monkeypatch):
+    calls = _count_blends(monkeypatch)
     times = (0.5, 1.0)
     for sweep, b in ((sweep_weak_decay, 1.0), (sweep_prop2, 1.0), (sweep_prop2, -1.0)):
         calls.clear()
         sweep(SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=b,
                           times=times, eps=(0.3, 0.15)))
-        assert calls == list(times)
+        assert calls == [(b * t, 1) for t in times]
+
+
+@pytest.mark.parametrize("claim,times,blends", [
+    ("thm5", (1.5,), [(1.5, 1), (1.5, -1)]),
+    ("thm3", (1.5,), [(1.5, 1)]),
+    ("prop2", (0.5, 1.0), [(0.5, 1), (1.0, 1)]),
+    ("thm2", (1.5,), [(1.5, 1)]),
+])
+def test_claims_read_one_limit_state_per_time(monkeypatch, claim, times, blends):
+    # Every limit value of a time comes from one state: one shift, and a
+    # reflection only where a multiplication limit reads it.
+    calls = _count_blends(monkeypatch)
+    run_claim(claim, SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=1.0,
+                                 times=times, eps=(0.2,)))
+    assert calls == blends
+
+
+def _watched_ladder(monkeypatch, check):
+    """Rebind the sweeps' ladder so that check(u) runs on each state it yields."""
+    real = harness.spectral_ladder
+
+    def ladder(*args):
+        walk = real(*args)  # the gates run here, as in the real call
+
+        def watched():
+            for e, t, u in walk:
+                check(u)
+                yield e, t, u
+        return watched()
+
+    monkeypatch.setattr(harness, "spectral_ladder", ladder)
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_sweeps_leave_the_walks_states_alone(monkeypatch, claim):
+    seen = []
+    _watched_ladder(monkeypatch, lambda u: seen.append((u, u.values.tobytes())))
+    run_claim(claim, SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=1.0,
+                                 times=(0.5, 1.5), eps=(0.2, 0.1)))
+    assert seen and all(u.values.tobytes() == kept for u, kept in seen)
+
+
+@pytest.mark.parametrize("claim", ["thm3", "thm5", "prop2", "thm2"])
+def test_no_limit_state_lives_through_the_walk(monkeypatch, claim):
+    # A state still bound would keep its branches and profile alive next
+    # to the walk's own arrays.
+    states = []
+    real = harness.comp_state_evolve
+
+    def watched_state(*args):
+        state = real(*args)
+        states.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(harness, "comp_state_evolve", watched_state)
+
+    def check(u):
+        assert states and all(ref() is None for ref in states)
+
+    _watched_ladder(monkeypatch, check)
+    run_claim(claim, SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=1.0,
+                                 times=(0.5, 1.5), eps=(0.2, 0.1)))
 
 
 def test_divergence_probe_refusals():

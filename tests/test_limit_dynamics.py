@@ -18,10 +18,11 @@ from halfline import (
     wold_projectors,
 )
 import halfline.limit_dynamics as limit_dynamics
-from halfline.grid import BoundedFunction, indicator_project, shift_sample
+from halfline.grid import BoundedFunction, indicator_project, mass, shift_sample
 from halfline.limit_dynamics import (
     ALPHA_FLOOR,
     MASS_FLOOR,
+    LimitState,
     mult_expectation_limit,
     shift_V,
 )
@@ -46,12 +47,8 @@ def test_regime_validation(medium):
 
 
 @pytest.mark.parametrize("b,t", [(0.0, 0.5), (-1.0, 0.5), (1.0, -0.1)])
-@pytest.mark.parametrize("fn", [
-    kraus_apply,
-    comp_state_evolve,
-    lambda phi, b, t: mult_expectation_limit(
-        phi, BoundedFunction(phi.grid, np.ones(phi.grid.N)), b, t),
-], ids=["kraus_apply", "comp_state_evolve", "mult_expectation_limit"])
+@pytest.mark.parametrize("fn", [kraus_apply, comp_state_evolve],
+                         ids=["kraus_apply", "comp_state_evolve"])
 def test_limit_maps_refuse_outside_the_inflow_regime(medium, fn, b, t):
     g, xe, _ = medium
     with pytest.raises(ValidationError):
@@ -141,6 +138,34 @@ def test_profile_is_the_shift_divided_by_sqrt_alpha(medium, name, b, t):
     assert np.array_equal(st.shift_profile.values, want)
 
 
+def test_both_maps_return_one_state_type(medium):
+    g, xe, _ = medium
+    assert type(kraus_apply(xe, 1.0, 0.8)) is LimitState
+    assert type(comp_state_evolve(xe, 1.0, 0.8)) is LimitState
+
+
+def test_state_builds_reflection_and_profile_on_first_use(medium, monkeypatch):
+    import halfline.grid as grid
+
+    g, xe, _ = medium
+    blends, scaled = [], []
+    real_blend, real_scaled = grid._slice_blend, limit_dynamics._scaled
+    monkeypatch.setattr(grid, "_slice_blend",
+                        lambda u, a, step: blends.append((a, step)) or real_blend(u, a, step))
+    monkeypatch.setattr(limit_dynamics, "_scaled",
+                        lambda v, s: scaled.append(s) or real_scaled(v, s))
+    st = comp_state_evolve(xe, 1.0, 0.8)
+    assert blends == [(0.8, 1)] and scaled == []
+    w, profile = st.reflect_branch, st.shift_profile
+    assert blends == [(0.8, 1), (0.8, -1)] and scaled == [math.sqrt(st.alpha)]
+    # built once: a second read returns the same objects and blends nothing
+    assert st.reflect_branch is w and st.shift_profile is profile
+    assert st.p_reflect == mass(w) and len(blends) == 2
+    # the profile is a copy: V(t) phi itself is never scaled
+    assert not np.shares_memory(profile.values, st.shift_branch.values)
+    assert np.array_equal(st.shift_branch.values, shift_sample(xe, 0.8).values)
+
+
 def test_destruction_time_frozen_values(medium):
     g, xe, b12 = medium
     # bump12 support starts at 1: the first node past it trips the
@@ -177,6 +202,8 @@ def test_destruction_time_at_its_edges():
     assert destruction_time(WaveFunction(g, chosen), 2.0) == g.x[23] / 2.0
     chosen[17] = 1e-9j
     assert destruction_time(WaveFunction(g, chosen), 2.0) == g.x[17] / 2.0
+    with pytest.raises(ValidationError, match="^destruction time x/b overflows at x=17.5, b=5e-324$"):
+        destruction_time(WaveFunction(g, chosen), 5e-324)
     with pytest.raises(ValidationError, match="^state carries no mass above MASS_FLOOR$"):
         destruction_time(WaveFunction(g, np.zeros(g.N)), 1.0)
 
@@ -189,7 +216,7 @@ def test_mult_expectation_limit_against_quadrature():
     oracle, _ = quad(lambda y: f(y + 0.8) ** 2, 1.0, 2.0)
     assert oracle == pytest.approx(0.004723197188457691, rel=1e-12)
     ind = BoundedFunction(g, np.where((g.x >= 1.0) & (g.x <= 2.0), 1.0, 0.0))
-    val = mult_expectation_limit(xe, ind, 1.0, 0.8)
+    val = mult_expectation_limit(comp_state_evolve(xe, 1.0, 0.8), ind)
     assert isinstance(val, float)
     assert val == pytest.approx(oracle, abs=1e-4)
 
@@ -199,7 +226,7 @@ def test_mult_expectation_limit_sees_both_branches(medium):
     # by t = 2.5 the bump has fully crossed: everything sits in the
     # reflected branch, and total mass is still 1
     one = BoundedFunction(g, np.ones(g.N))
-    val = mult_expectation_limit(b12, one, 1.0, 2.5)
+    val = mult_expectation_limit(comp_state_evolve(b12, 1.0, 2.5), one)
     assert val == pytest.approx(1.0, abs=1e-4)
     v = shift_V(b12, 1.0, 2.5)
     assert norm(v) <= 1e-8
@@ -208,7 +235,7 @@ def test_mult_expectation_limit_sees_both_branches(medium):
 def test_mult_expectation_complex_multiplier(medium):
     g, xe, _ = medium
     f = BoundedFunction(g, (1.0 + 1.0j) * np.ones(g.N))
-    val = mult_expectation_limit(xe, f, 1.0, 0.5)
+    val = mult_expectation_limit(comp_state_evolve(xe, 1.0, 0.5), f)
     assert isinstance(val, complex)
     assert val.imag != 0.0
 
@@ -218,7 +245,7 @@ def test_mult_expectation_grid_mismatch(medium):
     other = make_grid(10.0, 2 ** 12)
     f = BoundedFunction(other, np.ones(other.N))
     with pytest.raises(ValidationError):
-        mult_expectation_limit(xe, f, 1.0, 0.5)
+        mult_expectation_limit(comp_state_evolve(xe, 1.0, 0.5), f)
 
 
 def test_wold_projectors_split(medium):

@@ -83,26 +83,28 @@ def test_finite_rank_expectation_refuses_a_state_on_another_grid(setup):
         state = get_preset("xexp", other)
         with pytest.raises(ValidationError, match="different grids"):
             expectation(state, obs)
-        with pytest.raises(ValidationError, match="different grids"):
-            comp_expectation_limit(state, obs, 1.0, 0.5)
+        # also where the state is wholly singular and has no profile to pair
+        for t in (0.5, 45.0):
+            with pytest.raises(ValidationError, match="different grids"):
+                comp_expectation_limit(comp_state_evolve(state, 1.0, t), obs)
 
 
 def test_comp_limit_picks_out_alpha(setup):
     g, xe = setup
     st = comp_state_evolve(xe, 1.0, 0.8)
     proj = FiniteRankObservable(coeffs=(1.0,), directions=(st.shift_profile,))
-    val = comp_expectation_limit(xe, proj, 1.0, 0.8)
+    val = comp_expectation_limit(st, proj)
     assert val == pytest.approx(st.alpha, abs=1e-12)
 
 
 def test_comp_limit_vanishes_when_fully_singular(setup):
     g, xe = setup
     proj = FiniteRankObservable(coeffs=(1.0,), directions=(xe,))
-    assert comp_expectation_limit(xe, proj, 1.0, 45.0) == 0.0
+    assert comp_expectation_limit(comp_state_evolve(xe, 1.0, 45.0), proj) == 0.0
 
 
 def test_comp_limit_rejects_multiplication(setup):
     g, xe = setup
     f = BoundedFunction(g, np.ones(g.N))
     with pytest.raises(ValidationError):
-        comp_expectation_limit(xe, f, 1.0, 0.5)
+        comp_expectation_limit(comp_state_evolve(xe, 1.0, 0.5), f)

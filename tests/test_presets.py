@@ -63,6 +63,8 @@ def test_sine_mode_needs_length():
         preset_function("sine-mode-2")
     with pytest.raises(ValidationError):
         preset_function("sine-mode-0", L=10.0)
+    with pytest.raises(ValidationError, match=r"k\*pi/L = inf on L=1e-320$"):
+        preset_function("sine-mode-1", L=1e-320)
 
 
 def test_unknown_preset_rejected():
