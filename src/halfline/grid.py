@@ -197,7 +197,8 @@ class Pairing:
     def __init__(self, g: WaveFunction) -> None:
         v = g.values
         end = v.shape[0]
-        # A vector non-zero on the last node, as most are, needs no search.
+        # A vector non-zero on the last node needs no search.  The arches
+        # and xexp end in exact zeros (bump12 past x = 2, xexp past x = 27.3).
         if v[-1] == 0:
             nz = np.flatnonzero(v)
             end = int(nz[-1]) + 1 if nz.size else 0

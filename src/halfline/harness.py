@@ -1,17 +1,21 @@
 """Convergence sweeps over viscosity ladders, with deterministic reports.
 
 Each sweep fixes a grid, a preset, and a drift, then walks a strictly
-decreasing viscosity ladder and records one scalar metric per rung.
-Reports are a flat CSV (one row per record) plus a JSON verdict file;
-both are byte-identical across reruns of the same configuration.
+decreasing viscosity ladder.  Its body yields (t, epsilon, metric,
+value) rows; one driver, ``_sweep``, builds the grid, the preset and
+the walk, runs every gate before the body starts, and makes each row a
+ConvergenceRecord.  Reports are a flat CSV (one row per record) plus a
+JSON verdict file; both are byte-identical across reruns of the same
+configuration.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import wraps
 from pathlib import Path
 
 import numpy as np
@@ -120,23 +124,30 @@ def require_inside(phi: WaveFunction, b: float, horizon: float) -> None:
         )
 
 
-def _prepare(cfg: SweepConfig):
-    """Build the grid, the preset and the walk over cfg.eps x cfg.times,
-    refusing configurations the grid cannot carry.  The walk's gates,
-    one per rung, run here, before the far-wall check and any work."""
-    grid = make_grid(cfg.L, cfg.N)
-    phi = get_preset(cfg.preset, grid)
-    ladder = spectral_ladder(phi, cfg.eps, cfg.b, cfg.times)
-    require_inside(phi, cfg.b, max(cfg.times))
-    return grid, phi, ladder
+def _sweep(body):
+    """A sweep from its body, a generator of (t, epsilon, metric, value)
+    rows given the grid, the preset phi and the walk over cfg.eps x
+    cfg.times as keywords.  The walk's gates, one per rung, then the
+    far-wall check run before the body starts, so they refuse first."""
+
+    @wraps(body)
+    def sweep(cfg, *args, **kwargs):
+        grid = make_grid(cfg.L, cfg.N)
+        phi = get_preset(cfg.preset, grid)
+        walk = spectral_ladder(phi, cfg.eps, cfg.b, cfg.times)
+        require_inside(phi, cfg.b, cfg.times[-1])
+        rows = body(cfg, *args, grid=grid, phi=phi, walk=walk, **kwargs)
+        return [ConvergenceRecord(cfg.preset, cfg.b, *row) for row in rows]
+
+    # The body's signature less its keywords, as callers see the sweep.
+    sig = inspect.signature(body)
+    sweep.__signature__ = sig.replace(return_annotation="list[ConvergenceRecord]", parameters=[
+        p for p in sig.parameters.values() if p.kind != p.KEYWORD_ONLY])
+    return sweep
 
 
-def _defect(u: WaveFunction, v: WaveFunction) -> WaveFunction:
-    """The defect u - V(t) phi of a viscous state against pure transport."""
-    return _adopt(u.grid, u.values - v.values)
-
-
-def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
+@_sweep
+def sweep_theorem1(cfg: SweepConfig, *, grid, phi, walk):
     """Distance between the viscous flow and the two-wave form, per rung.
 
     Emits one record per (epsilon, t) and a per-epsilon supremum row
@@ -144,13 +155,9 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
     configured time in their t column so every metric keeps a single
     ratio chain.
     """
-    grid, phi, walk = _prepare(cfg)
-    rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
-    t_sup = max(cfg.times)
     # The transported and reflected parts depend on t alone, not on the rung.
     parts = {t: (shift_sample(phi, cfg.b * t), reflect_sample(phi, cfg.b * t))
              for t in cfg.times}
-    records = []
     worst = 0.0
     for e, t, u in walk:
         if t == cfg.times[0]:
@@ -160,29 +167,27 @@ def sweep_theorem1(cfg: SweepConfig) -> list[ConvergenceRecord]:
         d = two_wave(moved.values, phase, mirrored.values, out=np.empty_like(phase))
         # The remainder goes into d: the walk's state is read, never written.
         r = norm(_adopt(grid, np.subtract(u.values, d, out=d)))
-        worst = max(worst, r)
-        records.append(rec(t, e, "remainder", r))
-        if t == t_sup:
-            records.append(rec(t_sup, e, "sup_remainder", worst))
-            worst = 0.0
         del u  # free this state before the ladder builds the next
-    return records
+        worst = max(worst, r)
+        yield t, e, "remainder", r
+        if t == cfg.times[-1]:
+            yield t, e, "sup_remainder", worst
+            worst = 0.0
 
 
-def sweep_weak_decay(cfg: SweepConfig, g_name: str = WEAK_G) -> list[ConvergenceRecord]:
+@_sweep
+def sweep_weak_decay(cfg: SweepConfig, g_name: str = WEAK_G, *, grid, phi, walk):
     """Weak-convergence residual against a fixed test vector.
 
     Measures |<g, u_eps(t) - V(t) phi>|, which must vanish even though
     the strong distance stalls for b > 0.
     """
-    grid, phi, walk = _prepare(cfg)
-    rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     g = Pairing(get_preset(g_name, grid))
     # V(t) phi depends on t alone, not on the rung.  g reads the defect
     # only on its nodes [0, end), so the defect is formed there alone.
     v = {t: limit_group_V(phi, cfg.b, t).values[:g.end] for t in cfg.times}
-    return [rec(t, e, f"weak[{g_name}]", abs(g(u.values[:g.end] - v[t])))
-            for e, t, u in walk]
+    for e, t, u in walk:
+        yield t, e, f"weak[{g_name}]", abs(g(u.values[:g.end] - v[t]))
 
 
 def standard_observables(grid: Grid, kinds: tuple[str, ...], cut: float) -> dict[str, object]:
@@ -222,34 +227,27 @@ def _transported(phi: WaveFunction, b: float, t: float) -> tuple[WaveFunction, f
     return state.shift_branch, state.singular_weight
 
 
-def sweep_expectations(
-    cfg: SweepConfig, kinds: tuple[str, ...] = ("indicator", "sigmoid", "projector")
-) -> list[ConvergenceRecord]:
+@_sweep
+def sweep_expectations(cfg: SweepConfig, kinds: tuple[str, ...] = (
+        "indicator", "sigmoid", "projector"), *, grid, phi, walk):
     """Gap between viscous expectations and their limit values, per rung.
 
     Multiplication observables are compared with the two-branch limit,
     finite-rank ones with the transported-branch limit alone.
     """
-    if cfg.b <= 0:
-        raise ValidationError("expectation sweeps run in the inflow regime b > 0")
-    grid, phi, walk = _prepare(cfg)
     # the indicator band tracks the transported front, so one set per time
-    obs_by_t = {
-        t: standard_observables(grid, kinds, cut=cfg.b * t) for t in cfg.times
-    }
-    # One limit state per time, dropped with its branches before the walk.
+    obs_by_t = {t: standard_observables(grid, kinds, cut=cfg.b * t) for t in cfg.times}
+    # One limit state per time (it refuses b <= 0), dropped before the walk.
     limits = {t: _limit_values(comp_state_evolve(phi, cfg.b, t), obs_by_t[t])
               for t in cfg.times}
-    rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
-    records = []
     for e, t, u in walk:
         for kind, a in obs_by_t[t].items():
             val = float(np.real(expectation(u, a)))
-            records.append(rec(t, e, f"gap[{kind}]", abs(val - limits[t][kind])))
-    return records
+            yield t, e, f"gap[{kind}]", abs(val - limits[t][kind])
 
 
-def sweep_prop2(cfg: SweepConfig) -> list[ConvergenceRecord]:
+@_sweep
+def sweep_prop2(cfg: SweepConfig, *, grid, phi, walk):
     """Strong and weak residuals against pure transport, both drift signs.
 
     For b < 0 the strong residual itself must vanish.  For b > 0 it
@@ -258,25 +256,22 @@ def sweep_prop2(cfg: SweepConfig) -> list[ConvergenceRecord]:
     vanish, and the stall defect |residual^2 - (1 - alpha)|, which
     exposes exactly where the strong limit fails.
     """
-    grid, phi, walk = _prepare(cfg)
-    rec = partial(ConvergenceRecord, cfg.preset, cfg.b)
     psi = Pairing(get_preset(PROP2_PSI, grid))
     # V(t) phi and, for b > 0, the absorbed mass depend on t alone, not on the rung.
     transport = {t: _transported(phi, cfg.b, t) if cfg.b > 0
                  else (limit_group_V(phi, cfg.b, t), None) for t in cfg.times}
-    records = []
     for e, t, u in walk:
         v, lost = transport[t]
-        diff = _defect(u, v)
+        diff = _adopt(grid, u.values - v.values)
         gap_sq = mass(diff)
-        records.append(rec(t, e, "strong_gap", math.sqrt(gap_sq)))
+        yield t, e, "strong_gap", math.sqrt(gap_sq)
         if cfg.b > 0:
-            records.append(rec(t, e, f"weak_gap[{PROP2_PSI}]", abs(psi(diff.values))))
-            records.append(rec(t, e, "stall_defect", abs(gap_sq - lost)))
-    return records
+            yield t, e, f"weak_gap[{PROP2_PSI}]", abs(psi(diff.values))
+            yield t, e, "stall_defect", abs(gap_sq - lost)
 
 
-def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
+@_sweep
+def divergence_probe(cfg: SweepConfig, *, grid, phi, walk):
     """A single compact observable whose expectation has not settled on
     the ladder it is built from.
 
@@ -292,14 +287,11 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
     Also records each defect's squared norm, which must sit near the
     absorbed mass 1 - alpha if the two-wave picture is right.
     """
-    if cfg.b <= 0:
-        raise ValidationError("the divergence probe runs in the inflow regime b > 0")
-    # cfg.eps is not walked: its walk is dropped unread, once it has
-    # gated the rungs as for every other claim, before the probe's own ladder.
-    grid, phi, _ = _prepare(cfg)
-    t = max(cfg.times)
+    # The walk over cfg.eps is dropped unread, once it has gated the
+    # rungs as for every other claim; the probe walks its own ladder.
+    t = cfg.times[-1]
     ladder = tuple(cfg.eps[0] * 0.5 ** j for j in range(PROBE_RUNGS))
-    v, lost = _transported(phi, cfg.b, t)
+    v, lost = _transported(phi, cfg.b, t)  # refuses b <= 0
     if lost < PROBE_MIN_ABSORBED:
         raise ValidationError(
             f"absorbed mass {lost:.3e} at t={t:g} is below {PROBE_MIN_ABSORBED}, "
@@ -314,7 +306,7 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
     for j, u in enumerate(states):
         # Gram-Schmidt in place on the defect's quotient by its norm; no
         # defect outlives its turn, so the probe's pairings take their room.
-        res = _defect(u, v)
+        res = _adopt(grid, u.values - v.values)
         m = mass(res)
         gaps_sq.append(m)
         _scaled(res.values, math.sqrt(m), out=res.values)
@@ -328,15 +320,12 @@ def divergence_probe(cfg: SweepConfig) -> list[ConvergenceRecord]:
         coeffs.append(1.0 if j % 2 == 0 else -1.0)
     probe = FiniteRankObservable(coeffs=tuple(coeffs), directions=tuple(directions))
 
-    rec = partial(ConvergenceRecord, cfg.preset, cfg.b, t)
     values = [float(np.real(expectation(u, probe))) for u in states]
-    records = []
     for e, m, val in zip(ladder, gaps_sq, values):
-        records.append(rec(e, "probe_gap_sq", m))
-        records.append(rec(e, "probe_expectation", val))
-    records.append(rec(ladder[0], "probe_one_minus_alpha", lost))
-    records.append(rec(ladder[0], "probe_peak_to_peak", max(values) - min(values)))
-    return records
+        yield t, e, "probe_gap_sq", m
+        yield t, e, "probe_expectation", val
+    yield t, ladder[0], "probe_one_minus_alpha", lost
+    yield t, ladder[0], "probe_peak_to_peak", max(values) - min(values)
 
 
 @dataclass(frozen=True)

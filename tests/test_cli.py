@@ -137,6 +137,9 @@ def test_evolve_json_output(capsys):
         # a sine mode number is ASCII digits with nothing after them
         ("limit", "--preset", "sine-mode-\u0661", "--b", "1e-9", "--t", "1e-9"),
         ("limit", "--preset", "sine-mode-1\n", "--b", "1e-9", "--t", "1e-9"),
+        # a list option with no number in it
+        ("sweep", "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "0.5",
+         "--eps", ","),
     ],
 )
 def test_invalid_input_exits_2(capsys, tmp_path, argv):
@@ -256,6 +259,13 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         # the first massive node over b overflows
         (("limit", "--preset", "bump23", "--b", "5e-324", "--t", "1e-9", "--N", "4096"),
          "destruction time x/b overflows at x=2.00684, b=5e-324"),
+        # a list option with no number in it
+        (("sweep", "--claim", "thm1", "--preset", "xexp", "--b", "1", "--times", "1",
+          "--eps", ",", "--N", "1024"), "the viscosity ladder must be nonempty"),
+        # the claims on limit states refuse an outflow drift where the state is built
+        *[(("sweep", "--claim", claim, "--preset", "xexp", "--b", "-1", "--times", "1.5",
+            "--eps", "0.3", "--L", "20", "--N", "1024"),
+           "error: inflow regime requires b > 0, got -1.0") for claim in ("thm3", "thm5", "thm2")],
     ],
 )
 def test_refusal_prints_only_its_error_line(argv, cause):
@@ -337,6 +347,17 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     )
     assert rc == 2
     assert "viscosity" in err
+    # a config file that is not there, and a value of the wrong JSON type
+    missing = tmp_path / "missing.json"
+    rc, out, err = run_cli(capsys, "limit", "--config", str(missing),
+                           "--preset", "xexp", "--b", "1", "--t", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot read config {missing}:")
+    cfg.write_text(json.dumps({"times": 5}))
+    rc, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--claim", "thm1",
+                           "--preset", "xexp", "--b", "1", "--eps", "0.3")
+    assert rc == 2 and out == ""
+    assert err == "error: --times expects a comma list of numbers, got 5\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -182,6 +182,8 @@ def test_shift_zero_is_identity_bitwise():
     assert not np.shares_memory(s.values, u.values)
     s.values *= 2.0
     assert u.values.tobytes() == before
+    with pytest.raises(ValidationError, match="shift must be finite"):
+        shift_sample(u, math.nan)
 
 
 def test_reflect_about_L_reverses_nodes():
@@ -189,6 +191,8 @@ def test_reflect_about_L_reverses_nodes():
     u = _random_wave(g, 11)
     r = reflect_sample(u, g.L)
     np.testing.assert_allclose(r.values, u.values[::-1], rtol=0, atol=1e-12)
+    with pytest.raises(ValidationError, match="reflection offset must be finite"):
+        reflect_sample(u, math.inf)
 
 
 def test_sample_outside_domain_is_zero():
@@ -350,6 +354,8 @@ def test_indicator_rejects_reversed_band():
     u = WaveFunction(g, np.ones(64))
     with pytest.raises(ValidationError):
         indicator_project(u, 3.0, 2.0)
+    with pytest.raises(ValidationError, match="band endpoints must be finite"):
+        indicator_project(u, 0.0, math.inf)
 
 
 @settings(max_examples=40, deadline=None)

@@ -139,6 +139,10 @@ def test_sweep_expectations_evolves_once_per_rung():
     with pytest.raises(ValidationError):
         sweep_expectations(SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=-1.0,
                                        times=(1.5,), eps=(0.3,)))
+    # a rung gate refuses before the limit state does
+    with pytest.raises(ResolutionError):
+        sweep_expectations(SweepConfig(preset="xexp", L=20.0, N=2 ** 10, b=-1.0,
+                                       times=(1.5,), eps=(0.3, 1e-5)))
 
 
 def test_standard_observables_unknown_kind():
@@ -280,6 +284,10 @@ def test_divergence_probe_refusals():
     with pytest.raises(ResolutionError):
         divergence_probe(SweepConfig(preset="xexp", L=20.0, N=2 ** 10, b=1.0,
                                      times=(1.5,), eps=(0.1,)))
+    # the far-wall gate refuses before the limit state does
+    with pytest.raises(ValidationError, match="far wall"):
+        divergence_probe(SweepConfig(preset="xexp", L=4.0, N=2 ** 10, b=-1.0,
+                                     times=(5.0,), eps=(0.5,)))
 
 
 def test_evaluate_checks_kinds():

@@ -35,6 +35,8 @@ def test_finite_rank_validation(setup):
     other = get_preset("xexp", make_grid(10.0, 2 ** 12))
     with pytest.raises(ValidationError):
         FiniteRankObservable(coeffs=(1.0, 1.0), directions=(xe, other))
+    with pytest.raises(ValidationError, match="coefficients must be finite"):
+        FiniteRankObservable(coeffs=(float("nan"),), directions=(xe,))
 
 
 @pytest.mark.parametrize("c", [True, "1", 1 + 0j])
@@ -74,6 +76,8 @@ def test_expectation_rejects_grid_mismatch(setup):
     f = BoundedFunction(other, np.ones(other.N))
     with pytest.raises(ValidationError):
         expectation(xe, f)
+    with pytest.raises(ValidationError, match="unsupported observable type object"):
+        expectation(xe, object())
 
 
 def test_finite_rank_expectation_refuses_a_state_on_another_grid(setup):
