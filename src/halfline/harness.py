@@ -15,7 +15,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 from pathlib import Path
 
 import numpy as np
@@ -235,11 +235,12 @@ def sweep_expectations(cfg: SweepConfig, kinds: tuple[str, ...] = (
     Multiplication observables are compared with the two-branch limit,
     finite-rank ones with the transported-branch limit alone.
     """
-    # the indicator band tracks the transported front, so one set per time
-    obs_by_t = {t: standard_observables(grid, kinds, cut=cfg.b * t) for t in cfg.times}
-    # One limit state per time (it refuses b <= 0), dropped before the walk.
-    limits = {t: _limit_values(comp_state_evolve(phi, cfg.b, t), obs_by_t[t])
-              for t in cfg.times}
+    obs_by_t, limits = {}, {}
+    for t in cfg.times:
+        state = comp_state_evolve(phi, cfg.b, t)  # before the observables: it refuses b <= 0
+        obs_by_t[t] = standard_observables(grid, kinds, cut=cfg.b * t)  # the band tracks b t
+        limits[t] = _limit_values(state, obs_by_t[t])
+    del state  # no limit state lives through the walk
     for e, t, u in walk:
         for kind, a in obs_by_t[t].items():
             val = float(np.real(expectation(u, a)))
@@ -398,23 +399,15 @@ def run_claim(claim: str, cfg: SweepConfig, g_name: str | None = None) -> tuple[
     return sweep(cfg, g_name), checks(cfg.b, g_name)
 
 
-# Rules judged per (preset, b, t) group: kind -> predicate over the
-# group's values in ladder order and the check's bound.
-_GROUP_RULES = {
-    "decreasing": lambda vals, bound: len(vals) >= 2 and all(
-        y < x for x, y in zip(vals, vals[1:])
-    ),
-    "final_le": lambda vals, bound: vals[-1] <= bound,
-    "halved": lambda vals, bound: len(vals) >= 2 and vals[-1] <= bound * vals[0],
-}
-
-
-def _groups(records: list[ConvergenceRecord], metric: str) -> dict[tuple, list[ConvergenceRecord]]:
-    out: dict[tuple, list[ConvergenceRecord]] = {}
+def _per_group(passes, records: list[ConvergenceRecord], c: Check) -> list[dict]:
+    """One detail row per (preset, b, t) group of the check's metric, judged
+    by passes(the group's values in ladder order, the check's bound)."""
+    groups: dict[tuple, list[float]] = {}
     for r in records:
-        if r.metric == metric:
-            out.setdefault((r.preset, r.b, r.t), []).append(r)
-    return out
+        if r.metric == c.metric:
+            groups.setdefault((r.preset, r.b, r.t), []).append(r.value)
+    return [{"preset": p, "b": b, "t": t, "n": len(v), "first": v[0], "last": v[-1],
+             "pass": passes(v, c.bound)} for (p, b, t), v in sorted(groups.items())]
 
 
 def _singleton(records: list[ConvergenceRecord], metric: str) -> float:
@@ -422,6 +415,32 @@ def _singleton(records: list[ConvergenceRecord], metric: str) -> float:
     if len(vals) != 1:
         raise ValidationError(f"expected exactly one {metric!r} record, got {len(vals)}")
     return vals[0]
+
+
+def _probe_contrast(records: list[ConvergenceRecord], c: Check) -> list[dict]:
+    lost = _singleton(records, "probe_one_minus_alpha")
+    ptp = _singleton(records, "probe_peak_to_peak")
+    target = c.bound * lost
+    return [{"peak_to_peak": ptp, "target": target, "pass": ptp >= target}]
+
+
+def _within(records: list[ConvergenceRecord], c: Check) -> list[dict]:
+    lost = _singleton(records, "probe_one_minus_alpha")
+    # by (preset, b, t) group; the sort is stable, so each group keeps ladder order
+    rows = sorted((r for r in records if r.metric == c.metric), key=lambda r: (r.preset, r.b, r.t))
+    return [{"epsilon": r.epsilon, "value": r.value, "pass": abs(r.value - lost) <= c.bound}
+            for r in rows]
+
+
+# Every check kind: kind -> its detail rows given the records and the check.
+_RULES = {
+    "decreasing": partial(_per_group, lambda v, bound: len(v) >= 2 and all(
+        y < x for x, y in zip(v, v[1:]))),
+    "final_le": partial(_per_group, lambda v, bound: v[-1] <= bound),
+    "halved": partial(_per_group, lambda v, bound: len(v) >= 2 and v[-1] <= bound * v[0]),
+    "probe_contrast": _probe_contrast,
+    "within": _within,
+}
 
 
 def evaluate_checks(
@@ -433,32 +452,9 @@ def evaluate_checks(
     """
     results = []
     for c in checks:
-        groups = _groups(records, c.metric)
-        if c.kind in _GROUP_RULES:
-            detail = []
-            for key in sorted(groups):
-                vals = [r.value for r in groups[key]]
-                detail.append(
-                    {
-                        "preset": key[0], "b": key[1], "t": key[2],
-                        "n": len(vals), "first": vals[0], "last": vals[-1],
-                        "pass": _GROUP_RULES[c.kind](vals, c.bound),
-                    }
-                )
-        elif c.kind == "probe_contrast":
-            lost = _singleton(records, "probe_one_minus_alpha")
-            ptp = _singleton(records, "probe_peak_to_peak")
-            target = c.bound * lost
-            detail = [{"peak_to_peak": ptp, "target": target, "pass": ptp >= target}]
-        elif c.kind == "within":
-            lost = _singleton(records, "probe_one_minus_alpha")
-            detail = [
-                {"epsilon": r.epsilon, "value": r.value,
-                 "pass": abs(r.value - lost) <= c.bound}
-                for key in sorted(groups) for r in groups[key]
-            ]
-        else:
+        if c.kind not in _RULES:
             raise ValidationError(f"unknown check kind {c.kind!r}")
+        detail = _RULES[c.kind](records, c)
         results.append(
             {
                 "name": f"{c.kind}:{c.metric}",

@@ -213,3 +213,22 @@ def test_criterion_11_reports_are_deterministic(tmp_path, ref):
     p = EvolutionParams(epsilon=0.1, b=1.0, t=1.0)
     assert np.array_equal(spectral_evolve(xe, p).values,
                           spectral_evolve(xe, p).values)
+
+
+_THM1 = {"b": 1.0, "times": (0.5, 1.0, 2.0), "eps": (0.2, 0.1, 0.05, 0.025)}
+_EXPECT = {"b": 1.0, "times": (1.5,), "eps": (0.2, 0.1, 0.05, 0.025)}
+_PROP2 = {"times": (0.25, 0.5, 1.0), "eps": (0.1, 0.05, 0.025, 0.0125, 0.00625)}
+
+
+@pytest.mark.parametrize("claim,cfg", [
+    ("thm1", _THM1), ("weak", _THM1), ("thm3", _EXPECT), ("thm5", _EXPECT),
+    ("prop2", {**_PROP2, "b": 1.0}), ("prop2", {**_PROP2, "b": -1.0}),
+    ("thm2", {"b": 1.0, "times": (1.5,), "eps": (0.1,)}),
+], ids=["thm1", "weak", "thm3", "thm5", "prop2_inflow", "prop2_outflow", "thm2"])
+def test_verdicts_hold_on_a_half_size_grid(claim, cfg):
+    # The acceptance sweeps at N = 2^15, half the reference grid: a verdict
+    # that held at one N alone would be an artifact of that grid.
+    records, checks = run_claim(claim, SweepConfig(preset="xexp", L=REFERENCE_L,
+                                                   N=REFERENCE_N // 2, **cfg))
+    assert REFERENCE_N // 2 == 2 ** 15
+    assert evaluate_checks(records, checks)["all_pass"]

@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import halfline.cli as cli
 from halfline.cli import main
@@ -560,3 +564,72 @@ def test_reports_byte_stable_across_blas_threads(tmp_path):
     differ = [argv[0:3] for argv, a, b in zip(THREAD_RUNS, out1, out2) if a != b]
     differ += [name for name in files1 if files1[name] != files2.get(name)]
     assert differ == []
+
+
+# The refusal contract as a property: argument lists drawn from values a
+# grid can carry and from edge values, always on a grid of at most 4096
+# cells, so that no draw reaches the MemoryError path.
+_EDGE = ("nan", "inf", "-inf", "-0", "5e-324", "1e300")
+
+
+def _numbers(*plain):
+    return st.sampled_from(plain * 4 + _EDGE)
+
+
+def _ladder(*plain, reverse=False):
+    """Comma lists, mostly in the order a sweep accepts."""
+    return st.lists(_numbers(*plain), min_size=1, max_size=3, unique=True).map(
+        lambda v: ",".join(sorted(v, key=float, reverse=reverse)))
+
+
+_PRESETS = st.sampled_from(("xexp", "bump12", "bump23", "sine-mode-1") * 3
+                           + ("sine-mode-40", "sine-mode-x", "spline"))
+_OPTIONS = {
+    "--N": _numbers("8", "64", "1024", "4096", "1000"),
+    "--preset": _PRESETS,
+    "--L": _numbers("10", "20", "40"),
+    "--b": _numbers("1", "-1", "0.5", "2"),
+    "--epsilon": _numbers("0.3", "0.1", "1e-5"),
+    "--t": _numbers("0", "0.5", "1.5", "3"),
+    "--engine": st.sampled_from(cli.ENGINES * 3 + ("warp",)),
+    "--out": st.just("wave.csv"),
+    "--claim": st.sampled_from(cli.CLAIMS * 3 + ("thm9",)),
+    "--times": _ladder("0.5", "1", "1.5"),
+    "--eps": _ladder("0.3", "0.15", "0.1", reverse=True),
+    "--out-dir": st.just("reports"),
+}
+_COMMANDS = {
+    "evolve": ("--N", "--preset", "--L", "--b", "--epsilon", "--t", "--engine", "--out"),
+    "limit": ("--N", "--preset", "--L", "--b", "--t"),
+    "sweep": ("--N", "--preset", "--L", "--b", "--claim", "--times", "--eps", "--out-dir"),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for opt in _COMMANDS[command]:
+        # --N always, so that no default reference grid is built; any
+        # other option now and then left out
+        if opt == "--N" or draw(st.sampled_from((True,) * 15 + (False,))):
+            argv.append(f"{opt}={draw(_OPTIONS[opt])}")
+    if command == "sweep" and draw(st.sampled_from((False,) * 3 + (True,))):
+        argv.append(f"--g={draw(_PRESETS)}")
+    if command != "sweep" and draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_any_argument_list_exits_0_2_or_3(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3), err.getvalue()
+    if rc == 2:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error:")

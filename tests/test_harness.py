@@ -440,3 +440,69 @@ def test_emit_report_deterministic(tmp_path, claim):
         emit_report(recs, csv, js, checks)
         out.append((csv.read_bytes(), js.read_bytes()))
     assert out[0] == out[1]
+
+
+def test_evaluate_checks_group_rules_failing():
+    # Two (preset, b, t) groups, given out of sort order, of which t = 0.5
+    # fails every rule; a row of another metric is counted, never judged.
+    recs = [
+        ConvergenceRecord("p", 1.0, 1.0, 0.2, "m", 0.4),
+        ConvergenceRecord("p", 1.0, 0.5, 0.2, "m", 0.3),
+        ConvergenceRecord("p", 1.0, 1.0, 0.1, "m", 0.1),
+        ConvergenceRecord("p", 1.0, 0.5, 0.1, "m", 0.35),
+        ConvergenceRecord("p", 1.0, 0.5, 0.1, "z", 9.0),
+    ]
+    v = evaluate_checks(recs, (Check("decreasing", "m"), Check("final_le", "m", 0.2),
+                               Check("halved", "m", 0.5)))
+
+    def check(kind, bound, passes):
+        return {
+            "name": f"{kind}:m", "kind": kind, "metric": "m", "bound": bound,
+            "pass": False,
+            "detail": [
+                {"preset": "p", "b": 1.0, "t": 0.5, "n": 2, "first": 0.3, "last": 0.35,
+                 "pass": False},
+                {"preset": "p", "b": 1.0, "t": 1.0, "n": 2, "first": 0.4, "last": 0.1,
+                 "pass": passes},
+            ],
+        }
+
+    expected = {
+        "n_records": 5,
+        "all_pass": False,
+        "checks": [check("decreasing", None, True), check("final_le", 0.2, True),
+                   check("halved", 0.5, True)],
+    }
+    assert v == expected
+    # bool, not int: the verdict bytes read true and false
+    assert json.dumps(v, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("lost", [(), (0.25, 0.25)])
+def test_probe_checks_need_one_absorbed_mass(lost):
+    # Without exactly one probe_one_minus_alpha row both probe rules
+    # refuse, naming that row even where the peak-to-peak row is missing too.
+    recs = [ConvergenceRecord("p", 1.0, 1.5, 0.2, "probe_gap_sq", 0.25),
+            ConvergenceRecord("p", 1.0, 1.5, 0.2, "probe_expectation", 0.0625)]
+    recs += [ConvergenceRecord("p", 1.0, 1.5, 0.2, "probe_one_minus_alpha", v) for v in lost]
+    for checks in (claim_checks("thm2"), claim_checks("thm2")[1:]):
+        with pytest.raises(ValidationError, match=(
+                f"expected exactly one 'probe_one_minus_alpha' record, got {len(lost)}")):
+            evaluate_checks(recs, checks)
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0])
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_every_claim_check_kind_has_a_rule(claim, b):
+    assert {c.kind for c in claim_checks(claim, b)} <= set(harness._RULES)
+
+
+def test_refused_outflow_expectations_build_no_observables(monkeypatch):
+    # The limit states refuse b <= 0 before any observable set is built.
+    built = []
+    monkeypatch.setattr(harness, "standard_observables",
+                        lambda *a, **k: built.append(a) or {})
+    cfg = SweepConfig(preset="xexp", L=20.0, N=2 ** 12, b=-1.0, times=(0.5, 1.5), eps=(0.3,))
+    with pytest.raises(ValidationError, match=r"^inflow regime requires b > 0, got -1\.0$"):
+        sweep_expectations(cfg)
+    assert built == []
