@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResolutionWarning, ValidationError
 from .evolvers import (
     EvolutionParams,
     asymptotic_evolve,
@@ -29,12 +30,6 @@ from .limit_dynamics import destruction_time, kraus_apply, wold_projectors
 from .presets import PRESET_NAMES, REFERENCE_L, REFERENCE_N, get_preset
 
 ENGINES = ("spectral", "kernel", "asymptotic", "both")
-
-_REQUIRED = {
-    "evolve": ("preset", "epsilon", "b", "t"),
-    "limit": ("preset", "b", "t"),
-    "sweep": ("claim", "preset", "b", "times", "eps"),
-}
 
 
 def _number(key: str, val) -> float:
@@ -72,10 +67,26 @@ def _text(key: str, val) -> str:
     raise ValidationError(f"--{key} expects a non-empty string, got {val!r}")
 
 
-_READERS = {
-    "L": _number, "b": _number, "epsilon": _number, "t": _number,
-    "N": _integer, "times": _parse_floats, "eps": _parse_floats,
-    "preset": _text, "g": _text, "out": _text, "out_dir": _text,
+# option -> (reader, the commands that take it, default, help), in --help
+# order.  A None reader keeps the value as given: engine and claim are
+# checked where they are used.  A False default makes a flag with no value.
+_ALL = ("evolve", "limit", "sweep")
+_OPTIONS = {
+    "preset": (_text, _ALL, None, f"initial profile, one of {PRESET_NAMES}"),
+    "L": (_number, _ALL, REFERENCE_L, "interval length"),
+    "N": (_integer, _ALL, REFERENCE_N, "cell count, power of two"),
+    "b": (_number, _ALL, None, "drift coefficient"),
+    "config": (None, _ALL, None, "flat JSON file with option values"),
+    "epsilon": (_number, ("evolve",), None, "viscosity"),
+    "t": (_number, ("evolve", "limit"), None, "evolution time"),
+    "engine": (None, ("evolve",), "spectral", f"which route, one of {ENGINES}"),
+    "out": (_text, ("evolve",), None, "write the final wave to this CSV path"),
+    "json": (None, ("evolve", "limit"), False, "print JSON instead of key=value"),
+    "claim": (None, ("sweep",), None, f"which statement to exercise, one of {CLAIMS}"),
+    "times": (_parse_floats, ("sweep",), None, "comma list of times, e.g. 0.5,1,2"),
+    "eps": (_parse_floats, ("sweep",), None, "strictly decreasing comma list of viscosities"),
+    "out_dir": (_text, ("sweep",), ".", "directory for CSV/JSON reports"),
+    "g": (_text, ("sweep",), None, f"test vector preset for weak sweeps (default {WEAK_G})"),
 }
 
 
@@ -90,31 +101,30 @@ def _load_config(path: str, command: str, allowed) -> dict:
         raise ValidationError(f"config {path} must be a flat JSON object")
     unknown = sorted(set(raw).difference(allowed))
     if unknown:
-        raise ValidationError(
-            f"config {path} has unknown keys for {command}: {', '.join(unknown)}"
-        )
+        raise ValidationError(f"config {path} has unknown keys for {command}: {', '.join(unknown)}")
     return raw
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge flag values over config file values, check required ones and
-    read each value through its reader; engine and claim are checked where used.
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge flag values over config file values, check required ones, read
+    each given value through its reader and give every other its default.
 
-    A config file may set any option of the command's parser, the
-    parser's own dests, except --config itself and --json.
+    A config file may set any option of the command except --config and
+    --json.  A null there, like an absent flag, leaves the option not given.
     """
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config", "json")}
-    merged = {} if args.config is None else _load_config(args.config, command, flags)
-    merged.update((k, v) for k, v in flags.items() if v is not None)
-    for key in _REQUIRED[command]:
-        if merged.get(key) is None:
+    keys = [k for k, o in _OPTIONS.items() if args.command in o[1] and k not in ("config", "json")]
+    given = {} if args.config is None else _load_config(args.config, args.command, keys)
+    given.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    for key in _COMMANDS[args.command][2].split():
+        if given.get(key) is None:
             raise ValidationError(f"missing required option --{key.replace('_', '-')}")
-    merged = {"L": REFERENCE_L, "N": REFERENCE_N, **merged}
-    for key, val in merged.items():
-        if key in _READERS and val is not None:
-            merged[key] = _READERS[key](key.replace("_", "-"), val)
-    args.N = merged["N"]  # main names args.N if the grid does not fit
-    return merged
+    opt = {}
+    for key in keys:
+        reader, _, default, _ = _OPTIONS[key]
+        val = given.get(key)
+        opt[key] = default if val is None else reader(key.replace("_", "-"), val) if reader else val
+    args.N = opt["N"]  # main names args.N if the grid does not fit
+    return opt
 
 
 def _print_result(pairs: list[tuple[str, object]], as_json: bool) -> None:
@@ -143,8 +153,8 @@ def _dump_wave(u: WaveFunction, path: str) -> None:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    opt = _resolve(args, "evolve")
-    engine = "spectral" if opt.get("engine") is None else opt["engine"]
+    opt = _resolve(args)
+    engine = opt["engine"]
     if engine not in ENGINES:
         raise ValidationError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     grid = make_grid(opt["L"], opt["N"])
@@ -166,14 +176,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         ]
         u = us
     else:
-        run = {"spectral": spectral_evolve, "kernel": kernel_evolve,
-               "asymptotic": asymptotic_evolve}[engine]
-        u = run(phi, p)
+        u = {"spectral": spectral_evolve, "kernel": kernel_evolve,
+             "asymptotic": asymptotic_evolve}[engine](phi, p)
         pairs += [
             ("norm", norm(u)), ("boundary", abs(boundary_value(u))),
             ("peak", float(np.max(np.abs(u.values)))),
         ]
-    if opt.get("out") is not None:
+    if opt["out"] is not None:
         with _writing(opt["out"]):
             _dump_wave(u, opt["out"])
         pairs.append(("out", opt["out"]))
@@ -182,7 +191,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
-    opt = _resolve(args, "limit")
+    opt = _resolve(args)
     grid = make_grid(opt["L"], opt["N"])
     phi = get_preset(opt["preset"], grid)
     b, t = opt["b"], opt["t"]
@@ -204,14 +213,14 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opt = _resolve(args, "sweep")
+    opt = _resolve(args)
     cfg = SweepConfig(
         preset=opt["preset"], L=opt["L"], N=opt["N"], b=opt["b"],
         times=opt["times"], eps=opt["eps"],
     )
     claim = opt["claim"]
-    records, checks = run_claim(claim, cfg, g_name=opt.get("g"))
-    out_dir = Path("." if opt.get("out_dir") is None else opt["out_dir"])
+    records, checks = run_claim(claim, cfg, g_name=opt["g"])
+    out_dir = Path(opt["out_dir"])
     csv_path = out_dir / f"{claim}.csv"
     json_path = out_dir / f"{claim}.json"
     with _writing(out_dir):
@@ -224,55 +233,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if verdicts["all_pass"] else 3
 
 
+# command -> (run, help, required options)
+_COMMANDS = {
+    "evolve": (cmd_evolve, "run one evolution and report its invariants", "preset epsilon b t"),
+    "limit": (cmd_limit, "limit objects at one time: branches, state, stopping", "preset b t"),
+    "sweep": (cmd_sweep, "run a viscosity ladder for one claim keyword", "claim preset b times eps")
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse's refusals take main's one error: path
         raise ValidationError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="halfline",
-        description="Viscous transport on the half line and its limit dynamics",
-    )
+    parser = _Parser(prog="halfline",
+                     description="Viscous transport on the half line and its limit dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--preset", help=f"initial profile, one of {PRESET_NAMES}")
-        sp.add_argument("--L", help="interval length (default 40)")
-        sp.add_argument("--N", help="cell count, power of two (default 65536)")
-        sp.add_argument("--b", help="drift coefficient")
-        sp.add_argument("--config", help="flat JSON file with option values")
-
-    pe = sub.add_parser("evolve", help="run one evolution and report its invariants")
-    common(pe)
-    pe.add_argument("--epsilon", help="viscosity")
-    pe.add_argument("--t", help="evolution time")
-    pe.add_argument("--engine", help=f"which route, one of {ENGINES} (default spectral)")
-    pe.add_argument("--out", help="write the final wave to this CSV path")
-    pe.set_defaults(func=cmd_evolve)
-
-    pl = sub.add_parser("limit", help="limit objects at one time: branches, state, stopping")
-    common(pl)
-    pl.add_argument("--t", help="evolution time")
-    pl.set_defaults(func=cmd_limit)
-    for sp in (pe, pl):
-        sp.add_argument("--json", action="store_true", help="print JSON instead of key=value")
-
-    ps = sub.add_parser("sweep", help="run a viscosity ladder for one claim keyword")
-    common(ps)
-    ps.add_argument("--claim", help=f"which statement to exercise, one of {CLAIMS}")
-    ps.add_argument("--times", help="comma list of times, e.g. 0.5,1,2")
-    ps.add_argument("--eps", help="strictly decreasing comma list of viscosities")
-    ps.add_argument("--out-dir", dest="out_dir", help="directory for CSV/JSON reports")
-    ps.add_argument("--g", help=f"test vector preset for weak sweeps (default {WEAK_G})")
-    ps.set_defaults(func=cmd_sweep)
+    for command, (_, about, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=about)
+        for key, (_, commands, default, text) in _OPTIONS.items():
+            if command in commands:
+                shown = "" if default is None or default is False else f" (default {default})"
+                sp.add_argument(f"--{key.replace('_', '-')}", help=text + shown,
+                                action="store_true" if default is False else "store")
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -282,6 +273,19 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:  # pragma: no cover
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; print its ResolutionWarnings as warning: lines unless it was refused."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResolutionWarning)
+        rc = _run(argv)
+    for w in caught:
+        if not issubclass(w.category, ResolutionWarning):  # shown as if never recorded
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        elif rc in (0, 3):
+            print(f"warning: {w.message}", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

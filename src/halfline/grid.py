@@ -74,6 +74,12 @@ class Grid:
             _primed = min(16 * self.N, (1 << 21) - 512)
             np.empty(_primed, dtype=np.complex128)
 
+    def require_same(self, u, what: str = "operands") -> Grid:
+        """This grid, refusing a u (anything with a grid) that lives on another."""
+        if u.grid != self:
+            raise ValidationError(f"{what} live on different grids")
+        return self
+
 
 def make_grid(L: float, N: int) -> Grid:
     """Build a midpoint grid, validating L > 0 and N a power of two >= 8."""
@@ -154,12 +160,6 @@ class BoundedFunction:
         self.values = _samples(self.grid, self.values)
 
 
-def _same_grid(u: WaveFunction, v: WaveFunction) -> Grid:
-    if u.grid != v.grid:
-        raise ValidationError("operands live on different grids")
-    return u.grid
-
-
 # Norms and inner products are summed by einsum, which with its default
 # optimize=False never calls BLAS: its summation order does not depend on
 # the BLAS thread count, so neither do the reports.
@@ -178,7 +178,7 @@ def mass(u: WaveFunction) -> float:
 
 def inner(u: WaveFunction, v: WaveFunction) -> complex:
     """Midpoint quadrature inner product, conjugate-linear in the first slot."""
-    g = _same_grid(u, v)
+    g = u.grid.require_same(v)
     return complex(g.h * np.einsum("i,i->", u.values.conj(), v.values))
 
 

@@ -124,8 +124,7 @@ def mult_expectation_limit(state: LimitState, f: BoundedFunction) -> float | com
     the reflected wave cancels against its conjugate, so the limit
     sees plain densities and no interference term.
     """
-    if state.phi.grid != f.grid:
-        raise ValidationError("observable and state live on different grids")
+    f.grid.require_same(state.phi, "observable and state")
     return weighted_mass(f, density(state.shift_branch) + density(state.reflect_branch))
 
 
@@ -166,8 +165,7 @@ class WoldProjectors:
         return self._band(u, 0.0, self.cut)
 
     def _band(self, u: WaveFunction, a: float, b: float) -> WaveFunction:
-        if u.grid != self.grid:
-            raise ValidationError("projectors and state live on different grids")
+        self.grid.require_same(u, "projectors and state")
         return indicator_project(u, a, b)
 
 

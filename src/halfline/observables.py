@@ -39,8 +39,7 @@ class FiniteRankObservable:
             if not math.isfinite(c):
                 raise ValidationError(f"coefficients must be finite reals, got {c!r}")
         for d in self.directions:
-            if d.grid != self.grid:
-                raise ValidationError("directions live on different grids")
+            self.grid.require_same(d, "directions")
             require_unit(d, "each direction")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         object.__setattr__(self, "pairings", tuple(Pairing(d) for d in self.directions))
@@ -58,8 +57,7 @@ def expectation(u: WaveFunction, obs: Observable) -> float | complex:
     BoundedFunction acts by multiplication."""
     if not isinstance(obs, (BoundedFunction, FiniteRankObservable)):
         raise ValidationError(f"unsupported observable type {type(obs).__name__}")
-    if u.grid != obs.grid:
-        raise ValidationError("observable and state live on different grids")
+    obs.grid.require_same(u, "observable and state")
     if isinstance(obs, BoundedFunction):
         return weighted_mass(obs, density(u))
     total = 0.0
@@ -80,8 +78,7 @@ def comp_expectation_limit(state: LimitState, obs: FiniteRankObservable) -> floa
         raise ValidationError(
             "comp_expectation_limit handles finite-rank observables only"
         )
-    if state.phi.grid != obs.grid:
-        raise ValidationError("observable and state live on different grids")
+    obs.grid.require_same(state.phi, "observable and state")
     if state.shift_profile is None:
         return 0.0
     val = expectation(state.shift_profile, obs)

@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -584,7 +586,7 @@ def _ladder(*plain, reverse=False):
 
 _PRESETS = st.sampled_from(("xexp", "bump12", "bump23", "sine-mode-1") * 3
                            + ("sine-mode-40", "sine-mode-x", "spline"))
-_OPTIONS = {
+_DRAWS = {
     "--N": _numbers("8", "64", "1024", "4096", "1000"),
     "--preset": _PRESETS,
     "--L": _numbers("10", "20", "40"),
@@ -598,7 +600,7 @@ _OPTIONS = {
     "--eps": _ladder("0.3", "0.15", "0.1", reverse=True),
     "--out-dir": st.just("reports"),
 }
-_COMMANDS = {
+_FLAGS = {
     "evolve": ("--N", "--preset", "--L", "--b", "--epsilon", "--t", "--engine", "--out"),
     "limit": ("--N", "--preset", "--L", "--b", "--t"),
     "sweep": ("--N", "--preset", "--L", "--b", "--claim", "--times", "--eps", "--out-dir"),
@@ -607,13 +609,13 @@ _COMMANDS = {
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
-    for opt in _COMMANDS[command]:
+    for opt in _FLAGS[command]:
         # --N always, so that no default reference grid is built; any
         # other option now and then left out
         if opt == "--N" or draw(st.sampled_from((True,) * 15 + (False,))):
-            argv.append(f"{opt}={draw(_OPTIONS[opt])}")
+            argv.append(f"{opt}={draw(_DRAWS[opt])}")
     if command == "sweep" and draw(st.sampled_from((False,) * 3 + (True,))):
         argv.append(f"--g={draw(_PRESETS)}")
     if command != "sweep" and draw(st.booleans()):
@@ -633,3 +635,90 @@ def test_any_argument_list_exits_0_2_or_3(monkeypatch, tmp_path, argv):
     if rc == 2:
         [line] = err.getvalue().splitlines()
         assert line.startswith("error:")
+    else:
+        assert all(line.startswith("warning:") for line in err.getvalue().splitlines())
+    if rc == 0:
+        text = out.getvalue()
+        values = (json.loads(text).values() if "--json" in argv
+                  else [line.partition("=")[2] for line in text.splitlines()])
+        for v in values:
+            try:
+                x = float(v)
+            except ValueError:  # a name or a path, or a check line
+                continue
+            assert math.isfinite(x), text
+
+
+# The option table drives the parser, the config keys and the readers, so
+# these tests cover an option added to it without being edited.
+_READ = [(key, command) for key, (reader, commands, _, _) in cli._OPTIONS.items()
+         if reader is not None for command in commands]
+
+
+@pytest.mark.parametrize("key,command", _READ, ids=[f"{k}-{c}" for k, c in _READ])
+def test_each_read_option_refuses_an_object_from_a_config(capsys, tmp_path, key, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**_every_option(command, tmp_path), key: {}}))
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert rc == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: --{key.replace('_', '-')} expects ")
+
+
+def _help_entries(capsys, command):
+    """Flag -> its --help entry as one line of words."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    entries = re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]
+    return {e.split()[0]: " ".join(e.split()) for e in entries}
+
+
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_help_lists_each_option_where_the_table_puts_it(capsys, monkeypatch, key):
+    monkeypatch.setenv("COLUMNS", "300")  # no wrapped help lines
+    _, commands, default, text = cli._OPTIONS[key]
+    flag = f"--{key.replace('_', '-')}"
+    for command in cli._COMMANDS:
+        entries = _help_entries(capsys, command)
+        assert (flag in entries) == (command in commands), command
+        if command in commands and default not in (None, False):
+            assert entries[flag].endswith(f"{text} (default {default})")
+        elif command in commands:
+            assert entries[flag].endswith(text)
+
+
+@pytest.mark.parametrize("command", ["evolve", "limit", "sweep"])
+def test_config_null_means_not_given(capsys, monkeypatch, tmp_path, command):
+    # Every option the command does not require, set to null, takes its
+    # default: the reference grid, the spectral engine, reports in ".".
+    monkeypatch.chdir(tmp_path)
+    required = cli._COMMANDS[command][2].split()
+    opts = {k: v if k in required else None for k, v in _every_option(command, tmp_path).items()}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(opts))
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert rc == 0 and err == ""
+    if command == "sweep":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "weak.csv", "weak.json"]
+    else:
+        kv = parse_kv(out)
+        assert (kv["L"], kv["N"]) == (40.0, 65536)
+        assert command == "limit" or (kv["engine"] == "spectral" and "out" not in kv)
+
+
+@pytest.mark.parametrize("out", [None, "blocker/wave.csv"], ids=["written", "refused"])
+def test_resolution_warning_is_one_line(tmp_path, out):
+    # Underresolved two-wave phase: the run goes on and says so in one
+    # warning: line, or, refused after the warning, prints its error alone.
+    (tmp_path / "blocker").write_text("not a directory\n")
+    argv = ("evolve", "--engine", "asymptotic", "--preset", "xexp", "--L", "10", "--N", "4096",
+            "--b", "1", "--epsilon", "1e-5", "--t", "0.5", *(("--out", out) if out else ()))
+    run = _cli_process(argv, cwd=tmp_path)
+    [line] = run.stderr.splitlines()
+    if out is None:
+        assert run.returncode == 0 and "norm=" in run.stdout
+        assert line.startswith("warning: asymptotic phase wavelength") and ".py" not in line
+    else:
+        assert run.returncode == 2 and run.stdout == ""
+        assert line.startswith("error: cannot write")
