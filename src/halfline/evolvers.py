@@ -93,38 +93,46 @@ def _require_pinned(phi: WaveFunction, engine: str) -> None:
         )
 
 
-def _toeplitz_apply(col, v):
-    """Product T v with T[i, j] = col[i - j + n - 1], by circulant embedding.
-
-    The Toeplitz matrix is the leading n x n block of a 2n circulant
-    whose first column is col[n-1:], a zero, col[:n-1]; a circulant is
-    diagonal in the Fourier basis (Golub & Van Loan, Matrix
-    Computations, section 4.7).
-    """
-    n = v.shape[0]
-    c = np.concatenate((col[n - 1:], [0.0], col[:n - 1]))
-    return np.fft.ifft(np.fft.fft(c) * np.fft.fft(v, 2 * n))[:n]
-
-
 def _kernel_sum_fft(g: Grid, phi, eps, b, t):
     """Midpoint quadrature of the image-charge propagator in O(N log N).
 
-    On uniform nodes the direct phase a (x_i - x_j + b t)^2 depends only
-    on i - j, a Toeplitz matrix, and the image phase
-    a (x_i + x_j - b t)^2 only on i + j, a Hankel matrix, which is the
-    Toeplitz matrix of the reversed data.  Both products are exact up to
-    FFT roundoff, so this is the same sum as evaluating every phase
-    literally.
+    With theta = a h^2 and kappa = 2 a b t h, the direct phase
+    a (x_i - x_j + b t)^2 is theta m^2 + kappa m + a (b t)^2 at m = i - j
+    and the image phase a (x_i + x_j - b t)^2 is theta m^2 - kappa m +
+    a (b t)^2 at m = i + j + 1: two ``_quadratic_phase`` tables, over
+    m < N and m < 2N, with e^(i a (b t)^2) on the prefactor.  The direct
+    term is a 2N-point circulant convolution, diagonal in the Fourier
+    basis (Golub & Van Loan, Matrix Computations, section 4.7).  The image
+    term is the correlation r_(i+1), r_m = sum_k col[m + k] v_k, whose
+    transform is that of col times V(-q), the data's transform V read
+    backwards.  Five 2N-point FFTs, exact up to roundoff: the same sum as
+    evaluating every phase literally.
     """
     n, h = g.N, g.h
     a = 1.0 / (4.0 * eps * t)
-    pref = np.exp(-0.25j * np.pi) / math.sqrt(4.0 * math.pi * eps * t) * h
-    # Offsets (i - j) h.  With the data reversed, j -> n - 1 - j, the
-    # image argument (i + j + 1) h - b t becomes (i - j) h + n h - b t.
-    d = np.arange(1 - n, n) * h
-    direct = _toeplitz_apply(np.exp(1j * a * (d + b * t) ** 2), phi)
-    image = _toeplitz_apply(np.exp(1j * a * (d + n * h - b * t) ** 2), phi[::-1])
-    return pref * (direct - plane_wave(g, b / eps, np.empty(n, dtype=np.complex128)) * image)
+    bt = b * t
+    theta, kappa = a * h * h, 2.0 * a * bt * h
+    pref = np.exp(1j * (a * bt * bt - 0.25 * np.pi)) / math.sqrt(4.0 * math.pi * eps * t) * h
+    image = _quadratic_phase(2 * n, theta, -kappa, np.empty(2 * n, dtype=np.complex128))
+    # The circulant column: offsets 0..n-1, a zero, then -(n-1)..-1.
+    direct = np.empty(2 * n, dtype=np.complex128)
+    _quadratic_phase(n, theta, kappa, direct[:n])
+    direct[n] = 0.0
+    direct[n + 1:] = image[n - 1:0:-1]
+    v = np.fft.fft(phi, 2 * n)
+    direct = np.fft.fft(direct, out=direct)
+    direct *= v
+    image = np.fft.fft(image, out=image)
+    image[0] *= v[0]
+    image[1:] *= v[:0:-1]
+    del v
+    direct = np.fft.ifft(direct, out=direct)
+    image = np.fft.ifft(image, out=image)
+    out = plane_wave(g, b / eps, np.empty(n, dtype=np.complex128))
+    out *= image[1:n + 1]
+    np.subtract(direct[:n], out, out=out)
+    out *= pref
+    return out
 
 
 def kernel_evolve(phi: WaveFunction, p: EvolutionParams) -> WaveFunction:
@@ -178,36 +186,43 @@ def _twiddle(n: int) -> np.ndarray:
     return tw
 
 
-def _chirp(g: Grid, s: float, out: np.ndarray) -> np.ndarray:
-    """c_j = e^(-i theta j^2), theta = s (pi / L)^2, for j = 0..N-1,
-    written into the contiguous array out: the free flow at viscous time
-    s on the sine mode j.
+def _quadratic_phase(n: int, theta: float, kappa: float, out: np.ndarray) -> np.ndarray:
+    """e^(i (theta j^2 + kappa j)) for j = 0..n-1, n a power of two,
+    written into the contiguous array out.
 
     With j = A a + B b + c in three power-of-two digits, B the size of
     the c digit and A that of (b, c), the cross terms of j^2 separate:
-    c_j = e^(-i theta (A a + B b)^2) e^(-i theta (2 A a c + c^2))
-    e^(-i theta 2 B b c), three tables of about N^(2/3) exponentials
-    joined by two broadcast products.  Every argument is theta times an
-    exact integer, one rounding, so the phase error stays within a few
-    units of theta N^2 u (u the unit roundoff), no more than that of one
-    N-point np.exp.
+    the phase is theta (A a + B b)^2 + kappa (A a + B b), plus
+    theta (2 A a c + c^2) + kappa c, plus theta 2 B b c, three tables of
+    about n^(2/3) exponentials joined by two broadcast products.  Every
+    argument is theta and kappa times exact integers, so the phase error
+    stays within a few units of (theta n^2 + |kappa| n) u (u the unit
+    roundoff), as does that of one n-point np.exp.
     """
-    bits = g.N.bit_length() - 1
+    bits = n.bit_length() - 1
     na = 1 << (bits // 3)
     nb = 1 << ((bits - bits // 3) // 2)
-    nc = g.N // (na * nb)
-    k = math.pi / g.L
-    theta = s * k * k  # formed as the top-mode gate forms s (N k)^2, so it stays finite
+    nc = n // (na * nb)
     a = np.arange(na) * float(nb * nc)
     b = np.arange(nb) * float(nc)
     c = np.arange(nc, dtype=np.float64)
-    ab = np.exp(-1j * theta * (a[:, None] + b) ** 2)
-    ac = np.exp(-1j * theta * (2.0 * a[:, None] * c + c * c))
-    bc = np.exp(-1j * theta * (2.0 * b[:, None] * c))
+    hi = a[:, None] + b
+    ab = np.exp(1j * (theta * hi ** 2 + kappa * hi))
+    ac = np.exp(1j * (theta * (2.0 * a[:, None] * c + c * c) + kappa * c))
+    bc = np.exp(1j * (theta * (2.0 * b[:, None] * c)))
     cube = out.reshape(na, nb, nc)
     np.multiply(ab[:, :, None], ac[:, None, :], out=cube)
     cube *= bc
     return out
+
+
+def _chirp(g: Grid, s: float, out: np.ndarray) -> np.ndarray:
+    """c_j = e^(-i theta j^2), theta = s (pi / L)^2, for j = 0..N-1,
+    written into the contiguous array out: the free flow at viscous time
+    s on the sine mode j, a ``_quadratic_phase`` table."""
+    k = math.pi / g.L
+    theta = s * k * k  # formed as the top-mode gate forms s (N k)^2, so it stays finite
+    return _quadratic_phase(g.N, -theta, 0.0, out)
 
 
 def spectral_ladder(phi: WaveFunction, eps, b: float, times):

@@ -268,13 +268,13 @@ def test_spectral_ladder_refuses_bad_times(monkeypatch, small):
 
 
 def _n_point_exps(monkeypatch, n):
-    """A list that counts every complex np.exp with n values."""
+    """A list that counts every complex np.exp with n values or more."""
     seen = []
     exp = np.exp
 
     def counted(*args, **kwargs):
         out = exp(*args, **kwargs)
-        if np.iscomplexobj(out) and np.size(out) == n:
+        if np.iscomplexobj(out) and np.size(out) >= n:
             seen.append(out.shape)
         return out
 
@@ -441,13 +441,15 @@ def test_kernel_fft_sum_matches_direct_phases(small):
     np.testing.assert_allclose(fast, direct, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [8, 64, 512])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 512, 2048])
 @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("reach", [0.3, 0.7, 1.4])
 def test_kernel_fft_index_maps(n, b, reach):
     # b t below L/2, between L/2 and L, and beyond L: the image argument
     # x_i + x_j - b t changes sign at different places in the Hankel
-    # band, and the circulant wraps from both ends.
+    # band, and the circulant wraps from both ends.  The bit counts of n
+    # and 2n take every residue mod 3, so every way the phase tables
+    # split into three digits is met.
     g = make_grid(10.0, n)
     t = reach * g.L / b
     rng = np.random.default_rng(n)
@@ -456,6 +458,61 @@ def test_kernel_fft_index_maps(n, b, reach):
     np.testing.assert_allclose(
         _kernel_sum_fft(g, *args), _kernel_sum_direct(g.x, *args, g.h), atol=1e-12
     )
+
+
+def test_kernel_sum_builds_from_small_tables(monkeypatch):
+    # Both propagator columns come from tables of about (2N)^(2/3)
+    # exponentials, and the image term is a correlation with the data's
+    # transform read backwards: five 2N-point FFTs, where the circulant
+    # product of the reversed data took six.
+    g = make_grid(20.0, 2 ** 12)
+    phi = get_preset("xexp", g)
+    p = EvolutionParams(0.15, 1.0, 1.1)
+    kernel_evolve(phi, p)
+    ffts = _count_calls(monkeypatch, evolvers.np.fft, ("fft", "ifft"))
+    seen = _n_point_exps(monkeypatch, g.N)
+    kernel_evolve(phi, p)
+    assert seen == []
+    assert ffts == {"fft": 3, "ifft": 2}
+
+
+@pytest.mark.skipif(not _WIDE, reason="long double is no wider than double here")
+@pytest.mark.parametrize("L,eps,b,t", [(20.0, 0.15, 1.0, 1.1), (10.0, 0.3, 1.0, 0.5),
+                                       (10.0, 0.2, 3.0, 14.0 / 3.0)])
+def test_kernel_tables_match_extended_precision(monkeypatch, L, eps, b, t):
+    # Each table e^(i (theta j^2 + kappa j)), j < n, that the kernel sum
+    # reads (n = N and n = 2N) is checked against its phase in long
+    # double: within 1.25 (theta n^2 + |kappa| n) u plus a few ulp.  From
+    # 2N = 2^12 on it is no worse than the literal n-point np.exp of the
+    # same phase but for those few ulp: both round theta times the square
+    # of the top digits alike, and the table's two products add up to 2.7 u.
+    u = np.finfo(np.float64).eps
+    tables = []
+    build = evolvers._quadratic_phase
+
+    def recorded(n, theta, kappa, out):
+        tables.append((n, theta, kappa, build(n, theta, kappa, out).copy()))
+        return out
+
+    monkeypatch.setattr(evolvers, "_quadratic_phase", recorded)
+    for bits in range(3, 17):
+        n = 1 << bits
+        g = make_grid(L, n)
+        tables.clear()
+        _kernel_sum_fft(g, np.ones(n, dtype=np.complex128), eps, b, t)
+        assert sorted(m for m, *_ in tables) == [n, 2 * n]
+        for m, theta, kappa, table in tables:
+            j = np.arange(m)
+            jl = j.astype(np.longdouble)
+            phase = np.longdouble(theta) * jl * jl + np.longdouble(kappa) * jl
+            ref = np.cos(phase) + np.clongdouble(1j) * np.sin(phase)
+            err = float(np.max(np.abs(table.astype(np.clongdouble) - ref)))
+            direct = np.exp(1j * (theta * j.astype(np.float64) ** 2 + kappa * j))
+            err_direct = float(np.max(np.abs(direct.astype(np.clongdouble) - ref)))
+            scale = (theta * m * m + abs(kappa) * m) * u
+            assert err <= 1.25 * scale + 4 * u, (m, err, scale)
+            if m >= 2 ** 12:
+                assert err <= err_direct + 4 * u, (m, err, err_direct)
 
 
 def test_kernel_agrees_with_spectral(small):
